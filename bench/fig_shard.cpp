@@ -1,16 +1,12 @@
 // Vertex-sharded scaling sweep: the same broadcast instance run at
-// shards x {1, 2, 4} over both transports and both planner families
-// (local "round-robin", coordinated "global"), with the partitioner's
-// cut statistics and the barrier traffic accounting alongside the run
-// metrics.  The point of the figure is not speedup (on a small host the
-// barrier protocol is pure overhead) but the properties the shard
-// runtime promises: every row of a policy reports the same
-// steps/bandwidth (bit-identity across shard counts and transports),
-// the full-scale instance — a million-vertex sparse overlay that would
-// be impractical under the O(n^2) generator — completes across 4
-// shards, and the coordinated planner's ghost-delta frames ship a
-// small fraction of what a full per-barrier possession re-broadcast
-// would cost (the delta_x column: full-baseline bytes / actual bytes).
+// shards x {1, 2, 4} over both transports and two local planners
+// ("round-robin", "local"), with the partitioner's cut statistics and
+// the barrier traffic accounting alongside the run metrics.  The point
+// of the figure is the properties the shard runtime promises: every row
+// of a policy reports the same steps/bandwidth (bit-identity across
+// shard counts and transports), and the full-scale instance — a
+// million-vertex sparse overlay that would be impractical under the
+// O(n^2) generator — completes across 4 shards.
 // Rows are emitted in a fixed (transport, policy, shards) loop order,
 // so the output is diff-stable across runs.
 //
@@ -41,15 +37,6 @@ double crash_rate_requested(int argc, char** argv) {
       return std::atof(arg.data() + std::string_view("--crash-rate=").size());
   }
   return 0.0;
-}
-
-std::int64_t varint_len(std::uint64_t v) {
-  std::int64_t n = 1;
-  while (v >= 0x80) {
-    v >>= 7;
-    ++n;
-  }
-  return n;
 }
 
 }  // namespace
@@ -85,7 +72,7 @@ int main(int argc, char** argv) {
       {shard::TransportKind::kInProcess, "inproc"},
       {shard::TransportKind::kForked, "forked"},
   };
-  const char* policies[] = {"round-robin", "global"};
+  const char* policies[] = {"round-robin", "local"};
 
   shard::CrashPlan crash_plan;
   if (crash_rate > 0.0) {
@@ -94,19 +81,9 @@ int main(int argc, char** argv) {
               << " per (shard, step, phase); checkpoints every 3 steps\n";
   }
 
-  // Full-replication baseline for the coordinated planner: without
-  // ghost-delta frames, every barrier would re-broadcast every owned
-  // possession row to every peer — vertex id + a full raw-encoded set
-  // (universe varint + tag byte + 8 bytes per word).  delta_x is that
-  // baseline divided by the bytes the runtime actually shipped.
-  const std::int64_t set_words = (num_tokens + 63) / 64;
-  const std::int64_t full_row_bytes = varint_len(
-      static_cast<std::uint64_t>(n - 1)) +
-      varint_len(static_cast<std::uint64_t>(num_tokens)) + 1 + 8 * set_words;
-
   Table table({"transport", "policy", "part", "shards", "cut_arcs",
                "cut_pct", "imb_pct", "ghosts", "success", "steps",
-               "bandwidth", "kb_per_step", "delta_x", "crashes", "replayed",
+               "bandwidth", "kb_per_step", "crashes", "replayed",
                "ckpt_b", "part_ms", "run_s"});
   table.set_precision(3);
 
@@ -172,16 +149,6 @@ int main(int argc, char** argv) {
                 ? 0.0
                 : static_cast<double>(result.stats.shard_bytes_sent) /
                       (1024.0 * static_cast<double>(result.steps));
-        const bool coordinated =
-            std::string_view(policy) == "global" && shards > 1;
-        const double delta_x =
-            coordinated && result.stats.shard_bytes_sent > 0
-                ? static_cast<double>(shards - 1) *
-                      static_cast<double>(n) *
-                      static_cast<double>(full_row_bytes) *
-                      static_cast<double>(result.steps) /
-                      static_cast<double>(result.stats.shard_bytes_sent)
-                : 0.0;
         // Achieved imbalance: largest ownership class over the perfect
         // n/k average, in percent (0 = perfectly balanced).
         const double imb_pct =
@@ -196,7 +163,7 @@ int main(int argc, char** argv) {
                        part.stats.total_ghosts,
                        std::string(result.success ? "yes" : "no"),
                        result.steps, result.bandwidth, kb_per_step,
-                       delta_x, result.stats.worker_crashes,
+                       result.stats.worker_crashes,
                        result.stats.replayed_steps,
                        result.stats.checkpoint_bytes,
                        1000.0 * part_seconds, run_seconds});
@@ -277,10 +244,8 @@ int main(int argc, char** argv) {
             << (identical ? "yes" : "NO — INVARIANT VIOLATED") << '\n'
             << "# expected: steps/bandwidth identical on every row of a\n"
                "# policy (flow-refined rows included — partitioning only\n"
-               "# moves ownership); the coordinated planner's delta_x\n"
-               "# stays well above 1 (ghost-delta frames beat a full\n"
-               "# per-barrier possession re-broadcast); the cut fraction\n"
-               "# stays well below the ~"
+               "# moves ownership); the cut fraction stays well below\n"
+               "# the ~"
             << 100.0 * (1.0 - 1.0 / 4.0)
             << "% a random 4-way assignment would pay.\n";
   return identical ? 0 : 1;

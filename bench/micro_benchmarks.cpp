@@ -282,12 +282,13 @@ BENCHMARK_CAPTURE(BM_SimulatorStepsPerSec, random_stale4, "random", 4)
     ->Unit(benchmark::kMillisecond);
 
 // Per-policy planning throughput (steps/sec) on a fixed workload.  A
-// bounded window of steps per iteration isolates plan_step cost; the
-// 1000v x 512t point is the ISSUE-2 acceptance workload (>= 5x for
-// `global` vs the pre-kernel planner).  The third argument is the
-// intra-run worker budget (ISSUE 5: /threads:1 is the serial baseline,
-// /threads:2 and /threads:8 exercise the sharded planner + apply
-// paths — outputs are bit-identical, only the wall clock may move).
+// bounded window of steps per iteration isolates plan_step cost at the
+// 1000v x 512t point.  The third argument is the intra-run worker
+// budget: /threads:1 is the serial baseline, /threads:2 and /threads:8
+// exercise the simulator's sharded apply (every planner plans
+// serially) — outputs are bit-identical, only the wall clock may move.
+// UseRealTime: pool workers do part of the work, so items_per_second
+// must count wall time, not the main thread's CPU time.
 // reproduce_all.sh snapshots these series to BENCH_planner.json so
 // scripts/compare_bench.py can flag regressions across PRs; per-step
 // plan time is 1 / items_per_sec.
@@ -319,6 +320,7 @@ BENCHMARK_CAPTURE(BM_PlannerStepsPerSec, global, "global")
     ->Args({1000, 512, 1})
     ->Args({1000, 512, 2})
     ->Args({1000, 512, 8})
+    ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 BENCHMARK_CAPTURE(BM_PlannerStepsPerSec, local, "local")
     ->ArgNames({"", "", "threads"})
@@ -326,6 +328,7 @@ BENCHMARK_CAPTURE(BM_PlannerStepsPerSec, local, "local")
     ->Args({1000, 512, 1})
     ->Args({1000, 512, 2})
     ->Args({1000, 512, 8})
+    ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 BENCHMARK_CAPTURE(BM_PlannerStepsPerSec, random, "random")
     ->ArgNames({"", "", "threads"})
@@ -333,6 +336,7 @@ BENCHMARK_CAPTURE(BM_PlannerStepsPerSec, random, "random")
     ->Args({1000, 512, 1})
     ->Args({1000, 512, 2})
     ->Args({1000, 512, 8})
+    ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 BENCHMARK_CAPTURE(BM_PlannerStepsPerSec, round_robin, "round-robin")
     ->ArgNames({"", "", "threads"})
@@ -340,6 +344,7 @@ BENCHMARK_CAPTURE(BM_PlannerStepsPerSec, round_robin, "round-robin")
     ->Args({1000, 512, 1})
     ->Args({1000, 512, 2})
     ->Args({1000, 512, 8})
+    ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 BENCHMARK_CAPTURE(BM_PlannerStepsPerSec, bandwidth, "bandwidth")
     ->ArgNames({"", "", "threads"})
@@ -347,6 +352,7 @@ BENCHMARK_CAPTURE(BM_PlannerStepsPerSec, bandwidth, "bandwidth")
     ->Args({1000, 512, 1})
     ->Args({1000, 512, 2})
     ->Args({1000, 512, 8})
+    ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 
 // Fault path: the same bounded-window workload with 20% uniform loss
@@ -387,7 +393,8 @@ BENCHMARK_CAPTURE(BM_PlannerStepsPerSecLossy, random_reliable,
 // single-process planner at matched shard counts.  shards:1 isolates
 // the protocol's fixed overhead; shards:2/4 add the cross-shard
 // delivery traffic.  Outputs are bit-identical at every shard count,
-// only the wall clock may move.
+// only the wall clock may move; UseRealTime because the shards step on
+// pool workers, whose CPU time the main thread's clock does not see.
 void BM_ShardStep(benchmark::State& state, const char* name) {
   const auto n = static_cast<std::int32_t>(state.range(0));
   const auto tokens = static_cast<std::int32_t>(state.range(1));
@@ -413,20 +420,14 @@ BENCHMARK_CAPTURE(BM_ShardStep, round_robin, "round-robin")
     ->Args({1000, 512, 1})
     ->Args({1000, 512, 2})
     ->Args({1000, 512, 4})
+    ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 BENCHMARK_CAPTURE(BM_ShardStep, local, "local")
     ->ArgNames({"", "", "shards"})
     ->Args({1000, 512, 1})
     ->Args({1000, 512, 2})
     ->Args({1000, 512, 4})
-    ->Unit(benchmark::kMillisecond);
-// Coordinated planning: shards > 1 adds the wave round (top-k summary
-// broadcast + replicated merge) on top of full possession replication.
-BENCHMARK_CAPTURE(BM_ShardStep, global, "global")
-    ->ArgNames({"", "", "shards"})
-    ->Args({1000, 512, 1})
-    ->Args({1000, 512, 2})
-    ->Args({1000, 512, 4})
+    ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 
 // Partitioner cost at both refinement tiers on the paper's structured

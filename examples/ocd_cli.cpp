@@ -6,8 +6,10 @@
 //   $ ./ocd_cli --topology transit-stub --n 200 --files 8 --policy bandwidth
 //   $ ./ocd_cli --policy random --staleness 4 --dynamics link-churn
 //   $ ./ocd_cli --save my.inst ; ./ocd_cli --load my.inst --policy global
+#include <cmath>
 #include <cstdlib>
 #include <iostream>
+#include <limits>
 #include <memory>
 #include <optional>
 #include <string>
@@ -22,6 +24,7 @@
 #include "ocd/sim/simulator.hpp"
 #include "ocd/topology/random_graph.hpp"
 #include "ocd/topology/transit_stub.hpp"
+#include "ocd/util/env.hpp"
 
 namespace {
 
@@ -57,7 +60,26 @@ void usage() {
       "  --optimize                       report prune+compact post-pass too\n";
 }
 
+/// A receiver density must be a fully consumed, finite number in
+/// (0, 1]: atof alone reads "0.5x" as 0.5 and lets "nan" through as a
+/// density every threshold test fails.
+double parse_density(const char* text) {
+  char* end = nullptr;
+  const double value = std::strtod(text, &end);
+  if (end == text || *end != '\0' || !std::isfinite(value) || value <= 0.0 ||
+      value > 1.0)
+    throw ocd::Error(std::string("--density must be a number in (0, 1], "
+                                 "got '") +
+                     text + "'");
+  return value;
+}
+
+/// Numeric flags share the strict OCD_* knob parser (bare digits, no
+/// sign, no trailing bytes), so "--n 12x" is an error, not n = 12.
+/// Throws ocd::Error naming the flag on bad input.
 std::optional<CliOptions> parse(int argc, char** argv) {
+  using ocd::util::parse_env_int;
+  using ocd::util::parse_env_nonneg_int;
   CliOptions opt;
   for (int i = 1; i < argc; ++i) {
     const std::string flag = argv[i];
@@ -74,21 +96,23 @@ std::optional<CliOptions> parse(int argc, char** argv) {
     } else if (flag == "--topology") {
       opt.topology = value();
     } else if (flag == "--n") {
-      opt.n = std::atoi(value());
+      opt.n = static_cast<std::int32_t>(parse_env_int(flag, value()));
     } else if (flag == "--tokens") {
-      opt.tokens = std::atoi(value());
+      opt.tokens = static_cast<std::int32_t>(parse_env_int(flag, value()));
     } else if (flag == "--files") {
-      opt.files = std::atoi(value());
+      opt.files = static_cast<std::int32_t>(parse_env_int(flag, value()));
     } else if (flag == "--density") {
-      opt.density = std::atof(value());
+      opt.density = parse_density(value());
     } else if (flag == "--policy") {
       opt.policy = value();
     } else if (flag == "--staleness") {
-      opt.staleness = std::atoi(value());
+      opt.staleness =
+          static_cast<std::int32_t>(parse_env_nonneg_int(flag, value()));
     } else if (flag == "--dynamics") {
       opt.dynamics = value();
     } else if (flag == "--seed") {
-      opt.seed = static_cast<std::uint64_t>(std::atoll(value()));
+      opt.seed = static_cast<std::uint64_t>(parse_env_nonneg_int(
+          flag, value(), std::numeric_limits<std::int64_t>::max()));
     } else if (flag == "--save") {
       opt.save_path = value();
     } else if (flag == "--load") {
@@ -130,7 +154,13 @@ ocd::core::Instance build_instance(const CliOptions& opt, ocd::Rng& rng) {
 
 int main(int argc, char** argv) {
   using namespace ocd;
-  const auto parsed = parse(argc, argv);
+  std::optional<CliOptions> parsed;
+  try {
+    parsed = parse(argc, argv);
+  } catch (const Error& e) {
+    std::cerr << "error: " << e.what() << '\n';
+    return 1;
+  }
   if (!parsed.has_value()) return 0;
   const CliOptions& opt = *parsed;
 

@@ -47,7 +47,7 @@ done
 # ThreadSanitizer pass: all intentionally concurrent code sits on the
 # ocd::util parallel runtime — the Parallel suite drives the pool
 # primitives directly, Determinism replays whole planner/fault runs
-# under OCD_JOBS in {1,2,8} (sharded wave scan + sharded apply phase),
+# under OCD_JOBS in {1,2,8} (the simulator's sharded apply phase),
 # and SweepGrid drives run_grid, including a full (policy x seed) grid
 # of run_policy calls, so any shared mutable state in the planners
 # shows up here.  FaultSweep runs the lossy fig_loss workload shape
@@ -59,14 +59,10 @@ done
 # teardown/respawn and checkpoint/replay interleaved with the pool
 # phases — the recovery bookkeeping claims to run only on the driver
 # thread between barriers, and this pass is what holds it to that),
-# ShardCoordinated replays the coordinated planners' wave round (the
-# per-step top-k broadcast that precedes plan) against single-process
-# runs with the same pool fan-out,
 # and ShardPartition/BinStream cover the partitioner and the message
 # codec (their data races would surface as corrupt frames, so they run
-# here AND in the ASan pass above).  ShardForkTransport,
-# ShardForkRecovery and ShardForkCoordinated are deliberately absent
-# from the filter: fork()
+# here AND in the ASan pass above).  ShardForkTransport and
+# ShardForkRecovery are deliberately absent from the filter: fork()
 # from a threaded test binary is outside TSan's supported envelope —
 # the forked transport's correctness (including crash respawn and the
 # barrier-deadline hang detection) is pinned by the differential
@@ -83,6 +79,6 @@ cmake --build --preset tsan -j "$(nproc)" --target ocd_tests ocd_alloc_tests
 
 export TSAN_OPTIONS="halt_on_error=1"
 OCD_JOBS=8 ctest --preset tsan -j "$(nproc)" \
-  -R "${OCD_TSAN_FILTER:-Parallel|Determinism|SweepGrid|FaultSweep|TokenMatrix|SnapshotRing|AllocCount|MaxFlow|ShardDeterminism|ShardCoordinated|ShardPartition|ShardRecovery|BinStream}"
+  -R "${OCD_TSAN_FILTER:-Parallel|Determinism|SweepGrid|FaultSweep|TokenMatrix|SnapshotRing|AllocCount|MaxFlow|ShardDeterminism|ShardPartition|ShardRecovery|BinStream}"
 
 echo "Sanitizer run clean."

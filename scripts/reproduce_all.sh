@@ -36,7 +36,7 @@ ctest --preset default 2>&1 | tee results/tests.txt
 # {1,2,4}, both transports, with and without fault models) is visible
 # at a glance rather than buried in the full suite output.
 ctest --preset default \
-  -R 'ShardDeterminism|ShardForkTransport|ShardCoordinated|ShardForkCoordinated' \
+  -R 'ShardDeterminism|ShardForkTransport' \
   --output-on-failure 2>&1 | tee results/shard_replay.txt
 
 # Benchmarks are built separately at full optimisation (-O3 -DNDEBUG,
@@ -99,8 +99,6 @@ if [[ -n "${OCD_BENCH_BASELINE:-}" ]]; then
     --require-any 'ShardStep/round_robin/1000/512/shards:1' \
     --require-any 'ShardStep/round_robin/1000/512/shards:4' \
     --require-any 'ShardStep/local/1000/512/shards:4' \
-    --require-any 'ShardStep/global/1000/512/shards:1' \
-    --require-any 'ShardStep/global/1000/512/shards:4' \
     --require-any 'Partition/greedy/k:4' \
     --require-any 'Partition/flow/k:4' \
     --require-any 'Partition/flow/k:8' \

@@ -13,18 +13,15 @@
 #pragma once
 
 #include <cstdint>
-#include <span>
-#include <string>
 #include <vector>
 
-#include "ocd/heuristics/coordination.hpp"
 #include "ocd/sim/policy.hpp"
 #include "ocd/util/rarity.hpp"
 #include "ocd/util/token_matrix.hpp"
 
 namespace ocd::heuristics {
 
-class BandwidthPolicy final : public sim::Policy, public ShardCoordinator {
+class BandwidthPolicy final : public sim::Policy {
  public:
   [[nodiscard]] std::string_view name() const override { return "bandwidth"; }
   [[nodiscard]] sim::KnowledgeClass knowledge_class() const override {
@@ -34,27 +31,9 @@ class BandwidthPolicy final : public sim::Policy, public ShardCoordinator {
   void reset(const core::Instance& instance, std::uint64_t seed) override;
   void plan_step(const sim::StepView& view, sim::StepPlan& plan) override;
 
-  // Sharded coordination (ocd/heuristics/coordination.hpp): the
-  // per-token needy/frontier/witness elections are sliced by token
-  // (token t belongs to shard t % num_shards); each shard scores its
-  // slice, broadcasts the elected receiver sets, and the arc fill then
-  // runs per shard over its owned arcs against the merged allowed_
-  // matrix.  The election is deterministic per token, so no fallback
-  // path is ever needed.
-  void begin_coordination(const CoordinationSetup& setup) override;
-  [[nodiscard]] std::int64_t coord_prescore(const sim::StepView& view,
-                                            std::string& frame) override;
-  bool coord_absorb(const sim::StepView& view,
-                    std::span<const std::string> frames) override;
-  void coord_emit(const sim::StepView& view, sim::StepPlan& plan,
-                  std::vector<std::int64_t>& ordinals) override;
-
  private:
-  /// The per-token election: fills allowed_ rows for token `t`.  When
-  /// `receivers` is non-null the vertices whose allowed_ bit was set
-  /// are also appended there (unsorted, may repeat).
-  void score_token(TokenId t, const sim::StepView& view,
-                   std::vector<VertexId>* receivers);
+  /// The per-token election: fills allowed_ rows for token `t`.
+  void score_token(TokenId t, const sim::StepView& view);
   /// The per-arc capacity fill over the finished allowed_ matrix.
   void fill_arc(ArcId a, const sim::StepView& view, sim::StepPlan& plan);
 
@@ -72,11 +51,6 @@ class BandwidthPolicy final : public sim::Policy, public ShardCoordinator {
   TokenSet ranked_needs_;
   TokenSet ranked_flood_;
   TokenSet batch_;
-
-  // ---- sharded coordination state (idle in single-process runs) ----
-  CoordinationSetup coord_{};
-  std::vector<ArcId> owned_arcs_;      ///< arcs with an owned tail
-  std::vector<VertexId> receivers_;    ///< per-token election scratch
 };
 
 }  // namespace ocd::heuristics

@@ -46,16 +46,13 @@ class BinStream;
 namespace ocd::shard {
 
 /// The barrier phases a worker can be killed in front of.  A crash
-/// "at" a phase destroys the worker before the phase executes.  kWave
-/// (the coordinated planners' summary round) fires only on runs that
-/// actually execute a wave round — a kGlobal policy on > 1 shard; the
-/// numeric values of the original three phases are pinned so seeded
-/// random crash schedules stay stable.
+/// "at" a phase destroys the worker before the phase executes.  The
+/// numeric values are pinned so seeded random crash schedules stay
+/// stable.
 enum class CrashPhase : std::uint8_t {
   kPlan = 0,
   kApply = 1,
   kCommit = 2,
-  kWave = 3,
 };
 
 enum class CrashAction : std::uint8_t {
@@ -152,8 +149,6 @@ struct Checkpoint {
   /// only the steps after the restore point.
   std::int64_t bytes_sent = 0;
   std::int64_t bytes_received = 0;
-  std::int64_t summary_entries = 0;
-  std::int64_t wave_fallbacks = 0;
   /// Owned + ghost possession rows, in the worker's row order.
   util::TokenMatrix possession;
   std::vector<char> satisfied;            ///< per owned slot
@@ -174,11 +169,6 @@ struct Checkpoint {
   std::int64_t lost_total = 0;
   bool has_schedule = false;
   core::Schedule schedule;  ///< this shard's fragment (when recording)
-  /// Coordinated "global" planning only: per recorded timestep, the
-  /// global first-touch ordinal of each send (same length as the
-  /// timestep's send list) — the merge key run_sharded uses to
-  /// interleave fragments back into plan_step order.  Empty otherwise.
-  std::vector<std::vector<std::int64_t>> schedule_ordinals;
 };
 
 void put_checkpoint(util::BinStream& out, const Checkpoint& checkpoint);

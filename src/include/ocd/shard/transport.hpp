@@ -28,10 +28,6 @@
 #include "ocd/sim/policy.hpp"
 #include "ocd/util/token_matrix.hpp"
 
-namespace ocd::heuristics {
-class ShardCoordinator;
-}
-
 namespace ocd::shard {
 
 /// Everything a worker needs to run one shard, resolved once by
@@ -64,12 +60,6 @@ struct RunContext {
   const CrashPlan* crash_plan = nullptr;
   std::int64_t barrier_timeout_ms = 120'000;
   std::vector<std::int32_t> static_capacity;
-  /// Coordinated planning (kGlobal policies): workers fully replicate
-  /// possession, and on > 1 shard the transports run one extra *wave*
-  /// message round (phase_wave / absorb_wave) before every plan phase.
-  bool coordinated = false;
-  /// Resolved wave-summary horizon (resolve_wave_topk).
-  std::int32_t wave_topk = 8;
 };
 
 /// One shard's replica of the simulator loop.  Owns the shard-local
@@ -84,14 +74,6 @@ class ShardWorker {
   /// Init round: broadcast the initial owned unsatisfied count.
   void phase_init(std::vector<std::string>& out);
   void absorb_init(const std::vector<std::string>& in);
-
-  /// Coordinated wave round (ctx.coordinated, > 1 shard only): pre-score
-  /// the owned slice of this step's decision into one summary frame,
-  /// broadcast verbatim to every peer.  Requires running().
-  void phase_wave(std::vector<std::string>& out);
-  /// Merge the peers' summary frames; afterwards the worker holds the
-  /// replicated merged decision phase_plan's coord_emit will draw from.
-  void absorb_wave(const std::vector<std::string>& in);
 
   /// Plan owned vertices, validate, apply channel loss, route surviving
   /// deliveries to their destination's owner.  Requires running().
@@ -146,9 +128,6 @@ class ShardWorker {
   bool needs_aggregates_;
 
   sim::PolicyPtr policy_;
-  /// The policy's coordination interface (ctx.coordinated && > 1 shard;
-  /// null otherwise).
-  heuristics::ShardCoordinator* coord_ = nullptr;
   std::span<const VertexId> owned_;
   std::vector<VertexId> rows_;             ///< row -> global vertex id
   std::vector<std::int32_t> row_map_;      ///< global vertex id -> row, -1
@@ -174,19 +153,10 @@ class ShardWorker {
   TokenSet lost_;         ///< fault scratch
   TokenSet msg_tokens_;   ///< decode scratch
   std::string loss_record_;  ///< this step's loss sets (ctx.log_losses)
-  std::string wave_frame_;   ///< phase_wave's summary, reused per step
-  /// Coordinated "global" only: per plan slot, the merged decision's
-  /// global first-touch ordinal (coord_emit contract), and the per
-  /// recorded timestep copies finish_fragment ships for the merge.
-  std::vector<std::int64_t> ordinals_;
-  std::vector<std::vector<std::int64_t>> schedule_ordinals_;
-  bool ordinal_schedule_ = false;
 
   // Barrier traffic accounting (sim/stats.hpp shard_* counters).
   std::int64_t bytes_sent_ = 0;
   std::int64_t bytes_received_ = 0;
-  std::int64_t summary_entries_ = 0;
-  std::int64_t wave_fallbacks_ = 0;
 
   // Replicated global decision state (identical on every shard).
   std::int64_t step_ = 0;

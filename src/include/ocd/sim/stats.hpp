@@ -49,14 +49,15 @@ struct RunStats {
   std::int64_t checkpoint_bytes = 0; ///< total checkpoint bytes written
   /// Barrier traffic accounting, filled only by shard::run_sharded (all
   /// zero for sim::run): frame bytes each worker handed the transport
-  /// and received from it, summed over shards and phases (wave, plan,
-  /// apply, init).  Crash-invariant — checkpointed and rebuilt by
+  /// and received from it, summed over shards and phases (init, plan,
+  /// apply).  Crash-invariant — checkpointed and rebuilt by
   /// replay, so a recovered run reports the crash-free totals.
   std::int64_t shard_bytes_sent = 0;
   std::int64_t shard_bytes_received = 0;
-  /// Coordinated planning (kGlobal policies, > 1 shard): summary
-  /// entries emitted by the wave pre-scores, and steps whose top-k
-  /// horizon was exhausted so the exact serial rescan decided the step.
+  /// Always zero.  They counted the summary entries and exact-rescan
+  /// fallbacks of the sharded kGlobal planners, which the shard runtime
+  /// now refuses; the fields stay because perfbench/gate.cpp still
+  /// compares them.
   std::int64_t shard_summary_entries = 0;
   std::int64_t shard_wave_fallbacks = 0;
   double wall_seconds = 0.0;

@@ -8,7 +8,6 @@
 #include <string>
 
 #include "ocd/faults/model.hpp"
-#include "ocd/heuristics/coordination.hpp"
 #include "ocd/heuristics/factory.hpp"
 #include "ocd/shard/recovery.hpp"
 #include "ocd/shard/transport.hpp"
@@ -23,9 +22,10 @@ namespace {
 constexpr std::int64_t kDefaultNoProgressWindow = 256;  // simulator.cpp
 
 /// Planners the barrier protocol reproduces bit-identically.  Everything
-/// else (adapter-wrapped policies) is refused up front.
-constexpr std::string_view kSupportedPolicies[] = {
-    "round-robin", "random", "local", "global", "bandwidth"};
+/// else (the kGlobal planners, adapter-wrapped policies) is refused up
+/// front.
+constexpr std::string_view kSupportedPolicies[] = {"round-robin", "random",
+                                                   "local"};
 
 bool supported_policy(std::string_view name) {
   for (std::string_view p : kSupportedPolicies)
@@ -44,8 +44,8 @@ void validate_envelope(std::string_view policy_name,
         "positive, got " +
         std::to_string(options.no_progress_window));
   if (!supported_policy(policy_name))
-    throw Error("sharded runtime supports policies round-robin, random, "
-                "local, global and bandwidth; got '" +
+    throw Error("sharded runtime supports policies round-robin, random "
+                "and local; got '" +
                 std::string(policy_name) + "'");
   if (options.staleness != 0)
     throw Error(
@@ -91,27 +91,13 @@ ShardWorker::ShardWorker(const RunContext& ctx, std::int32_t shard)
   policy_->reset(inst, ctx.sim.seed);
 
   owned_ = std::span<const VertexId>(part.owned[s]);
-  if (ctx.coordinated) {
-    // Coordinated planners read global possession: every shard keeps a
-    // full replica (one row per vertex, identity row map), kept exact
-    // by subscribing every peer to every owned vertex below — the
-    // existing ghost-update machinery then broadcasts exactly the
-    // per-step possession deltas.
-    rows_.resize(n);
-    for (std::size_t i = 0; i < n; ++i)
-      rows_[i] = static_cast<VertexId>(i);
-    row_map_.resize(n);
-    for (std::size_t i = 0; i < n; ++i)
-      row_map_[i] = static_cast<std::int32_t>(i);
-  } else {
-    rows_.resize(part.owned[s].size() + part.ghosts[s].size());
-    std::merge(part.owned[s].begin(), part.owned[s].end(),
-               part.ghosts[s].begin(), part.ghosts[s].end(), rows_.begin());
-    row_map_.assign(n, -1);
-    for (std::size_t i = 0; i < rows_.size(); ++i)
-      row_map_[static_cast<std::size_t>(rows_[i])] =
-          static_cast<std::int32_t>(i);
-  }
+  rows_.resize(part.owned[s].size() + part.ghosts[s].size());
+  std::merge(part.owned[s].begin(), part.owned[s].end(),
+             part.ghosts[s].begin(), part.ghosts[s].end(), rows_.begin());
+  row_map_.assign(n, -1);
+  for (std::size_t i = 0; i < rows_.size(); ++i)
+    row_map_[static_cast<std::size_t>(rows_[i])] =
+        static_cast<std::int32_t>(i);
   owned_index_.assign(n, -1);
   for (std::size_t k = 0; k < owned_.size(); ++k)
     owned_index_[static_cast<std::size_t>(owned_[k])] =
@@ -173,31 +159,11 @@ ShardWorker::ShardWorker(const RunContext& ctx, std::int32_t shard)
   out_ghost_.assign(static_cast<std::size_t>(num_shards_), {});
   for (std::int32_t p = 0; p < num_shards_; ++p) {
     if (p == shard_) continue;
-    if (ctx.coordinated) {
-      out_ghost_[static_cast<std::size_t>(p)].assign(owned_.begin(),
-                                                     owned_.end());
-    } else {
-      for (VertexId v : part.ghosts[static_cast<std::size_t>(p)])
-        if (part.shard_of[static_cast<std::size_t>(v)] == shard_)
-          out_ghost_[static_cast<std::size_t>(p)].push_back(v);
-    }
+    for (VertexId v : part.ghosts[static_cast<std::size_t>(p)])
+      if (part.shard_of[static_cast<std::size_t>(v)] == shard_)
+        out_ghost_[static_cast<std::size_t>(p)].push_back(v);
   }
   deliv_for_.assign(static_cast<std::size_t>(num_shards_), {});
-
-  if (ctx.coordinated && num_shards_ > 1) {
-    coord_ = dynamic_cast<heuristics::ShardCoordinator*>(policy_.get());
-    OCD_ASSERT_MSG(coord_ != nullptr,
-                   "coordinated policy does not implement ShardCoordinator");
-    heuristics::CoordinationSetup setup;
-    setup.instance = &inst;
-    setup.shard_of = std::span<const std::int32_t>(part.shard_of);
-    setup.shard = shard_;
-    setup.num_shards = num_shards_;
-    setup.wave_topk = ctx.wave_topk;
-    coord_->begin_coordination(setup);
-    ordinal_schedule_ =
-        ctx.sim.record_schedule && ctx.policy_name == "global";
-  }
 }
 
 void ShardWorker::phase_init(std::vector<std::string>& out) {
@@ -224,33 +190,6 @@ void ShardWorker::absorb_init(const std::vector<std::string>& in) {
     msg.require(msg.exhausted(), "init", "trailing bytes");
   }
   running_ = step_ < ctx_.sim.max_steps && unsatisfied_ > 0;
-}
-
-void ShardWorker::phase_wave(std::vector<std::string>& out) {
-  OCD_ASSERT(running_);
-  OCD_ASSERT(coord_ != nullptr);
-  const std::span<const std::int32_t> capacity(ctx_.static_capacity);
-  sim::StepView view(*ctx_.instance, possession_, possession_, &aggregates_,
-                     nullptr, ctx_.knowledge, step_, capacity);
-  summary_entries_ += coord_->coord_prescore(view, wave_frame_);
-  out.assign(static_cast<std::size_t>(num_shards_), {});
-  for (std::int32_t p = 0; p < num_shards_; ++p) {
-    if (p == shard_) continue;
-    out[static_cast<std::size_t>(p)] = wave_frame_;
-    bytes_sent_ += static_cast<std::int64_t>(wave_frame_.size());
-  }
-}
-
-void ShardWorker::absorb_wave(const std::vector<std::string>& in) {
-  for (std::int32_t p = 0; p < num_shards_; ++p) {
-    if (p == shard_) continue;
-    bytes_received_ +=
-        static_cast<std::int64_t>(in[static_cast<std::size_t>(p)].size());
-  }
-  const std::span<const std::int32_t> capacity(ctx_.static_capacity);
-  sim::StepView view(*ctx_.instance, possession_, possession_, &aggregates_,
-                     nullptr, ctx_.knowledge, step_, capacity);
-  if (coord_->coord_absorb(view, in)) ++wave_fallbacks_;
 }
 
 // Local reimplementation of sim::validate_sends: identical checks and
@@ -303,23 +242,9 @@ void ShardWorker::phase_plan(std::vector<std::string>& out,
   sim::StepView view(inst, possession_, possession_,
                      needs_aggregates_ ? &aggregates_ : nullptr, nullptr,
                      ctx_.knowledge, step_, capacity);
-  if (!ctx_.coordinated) {
-    // Local planners: shard-local rows behind the row map, independent
-    // per-vertex planning.
-    view.set_row_map(row_map_);
-    policy_->plan_shard(view, plan_, owned_);
-  } else if (coord_ != nullptr) {
-    // Coordinated, > 1 shard: the wave round already replicated the
-    // merged decision; emit the owned share (possession is fully
-    // replicated, so the view needs no row map).
-    ordinals_.clear();
-    coord_->coord_emit(view, plan_, ordinals_);
-  } else {
-    // Coordinated, single shard: no wave round ran (and none is needed —
-    // the serial planner sees the whole instance), so this worker IS the
-    // single-process planner.
-    policy_->plan_step(view, plan_);
-  }
+  // Shard-local rows behind the row map, independent per-vertex planning.
+  view.set_row_map(row_map_);
+  policy_->plan_shard(view, plan_, owned_);
   validate_shard_sends(plan_.sends());
 
   // Wire counters and channel loss, then route surviving deliveries to
@@ -559,24 +484,9 @@ void ShardWorker::phase_commit(const std::vector<std::string>& in) {
 
   if (ctx_.sim.record_schedule) {
     core::Timestep timestep;
-    if (ordinal_schedule_) {
-      // Keep the merged decision's first-touch ordinal of every
-      // recorded send (loss-emptied slots drop their ordinal with the
-      // send) — the fragment merge's interleaving key.
-      OCD_ASSERT(ordinals_.size() == plan_.sends().size());
-      std::vector<std::int64_t> ords;
-      const std::span<const core::ArcSend> sends = plan_.sends();
-      for (std::size_t i = 0; i < sends.size(); ++i) {
-        if (sends[i].tokens.empty()) continue;
-        timestep.sends().push_back(sends[i]);
-        ords.push_back(ordinals_[i]);
-      }
-      schedule_ordinals_.push_back(std::move(ords));
-    } else {
-      for (const core::ArcSend& send : plan_.sends()) {
-        if (send.tokens.empty()) continue;
-        timestep.sends().push_back(send);
-      }
+    for (const core::ArcSend& send : plan_.sends()) {
+      if (send.tokens.empty()) continue;
+      timestep.sends().push_back(send);
     }
     schedule_.append(std::move(timestep));
   }
@@ -620,8 +530,6 @@ std::string ShardWorker::finish_fragment() {
   frag.put_varint(static_cast<std::uint64_t>(unsatisfied_));
   frag.put_varint(static_cast<std::uint64_t>(bytes_sent_));
   frag.put_varint(static_cast<std::uint64_t>(bytes_received_));
-  frag.put_varint(static_cast<std::uint64_t>(summary_entries_));
-  frag.put_varint(static_cast<std::uint64_t>(wave_fallbacks_));
   if (shard_ == 0) {
     frag.put_varint(moves_per_step_.size());
     for (std::int64_t x : moves_per_step_)
@@ -652,16 +560,6 @@ std::string ShardWorker::finish_fragment() {
   }
   frag.put_bool(ctx_.sim.record_schedule);
   if (ctx_.sim.record_schedule) util::put_schedule(frag, schedule_);
-  frag.put_bool(ordinal_schedule_);
-  if (ordinal_schedule_) {
-    OCD_ASSERT(schedule_ordinals_.size() == schedule_.steps().size());
-    frag.put_varint(schedule_ordinals_.size());
-    for (const auto& step : schedule_ordinals_) {
-      frag.put_varint(step.size());
-      for (std::int64_t o : step)
-        frag.put_varint(static_cast<std::uint64_t>(o));
-    }
-  }
   return std::move(frag).take();
 }
 
@@ -676,8 +574,6 @@ std::string ShardWorker::save_checkpoint() const {
   c.no_progress = no_progress_;
   c.bytes_sent = bytes_sent_;
   c.bytes_received = bytes_received_;
-  c.summary_entries = summary_entries_;
-  c.wave_fallbacks = wave_fallbacks_;
   c.possession = possession_;
   c.satisfied = satisfied_;
   c.completion = completion_;
@@ -699,7 +595,6 @@ std::string ShardWorker::save_checkpoint() const {
   }
   c.has_schedule = ctx_.sim.record_schedule;
   if (c.has_schedule) c.schedule = schedule_;
-  if (ordinal_schedule_) c.schedule_ordinals = schedule_ordinals_;
   util::BinStream out;
   put_checkpoint(out, c);
   return std::move(out).take();
@@ -727,10 +622,6 @@ void ShardWorker::restore_checkpoint(const std::string& bytes) {
   if (c.has_schedule)
     in.require(c.schedule.steps().size() == static_cast<std::size_t>(c.step),
                "checkpoint.schedule", "length != committed steps");
-  in.require(c.schedule_ordinals.empty() ==
-                 (!ordinal_schedule_ || c.schedule.steps().empty()),
-             "checkpoint.has_ordinals",
-             "ordinal presence does not match the run options");
   const auto n = static_cast<std::int64_t>(sent_by_.size());
   for (const auto& [vertex, count] : c.sent_by)
     in.require(vertex < n, "checkpoint.sender.vertex",
@@ -752,8 +643,6 @@ void ShardWorker::restore_checkpoint(const std::string& bytes) {
   no_progress_ = c.no_progress;
   bytes_sent_ = c.bytes_sent;
   bytes_received_ = c.bytes_received;
-  summary_entries_ = c.summary_entries;
-  wave_fallbacks_ = c.wave_fallbacks;
   stalled_ = false;
   watchdog_hit_ = false;
   pending_stall_ = false;
@@ -769,7 +658,6 @@ void ShardWorker::restore_checkpoint(const std::string& bytes) {
     lost_total_ = c.lost_total;
   }
   if (ctx_.sim.record_schedule) schedule_ = std::move(c.schedule);
-  if (ordinal_schedule_) schedule_ordinals_ = std::move(c.schedule_ordinals);
   // A respawned forked worker inherited the parent's reset-state fault
   // model copy-on-write; fast-forward the per-arc chains to the cursor.
   // In-process workers share the live model and must not touch it —
@@ -792,17 +680,6 @@ std::int32_t resolve_num_shards(std::int32_t requested) {
   return static_cast<std::int32_t>(util::parse_env_int("OCD_SHARDS", env));
 }
 
-std::int32_t resolve_wave_topk(std::int32_t requested) {
-  if (requested > 0) return requested;
-  if (requested < 0)
-    throw Error("ShardOptions.wave_topk must be >= 0, got " +
-                std::to_string(requested));
-  const char* env = std::getenv("OCD_SHARD_WAVE_TOPK");
-  if (env == nullptr) return 8;
-  return static_cast<std::int32_t>(
-      util::parse_env_int("OCD_SHARD_WAVE_TOPK", env, 1 << 20));
-}
-
 namespace {
 
 /// Decoded finish fragment of one shard.
@@ -812,8 +689,6 @@ struct Fragment {
   std::int64_t unsatisfied = 0;
   std::int64_t bytes_sent = 0;
   std::int64_t bytes_received = 0;
-  std::int64_t summary_entries = 0;
-  std::int64_t wave_fallbacks = 0;
   std::vector<std::int64_t> moves_per_step;  // shard 0 only
   std::vector<std::int64_t> lost_per_step;   // shard 0 only
   std::int64_t useful_total = 0;             // shard 0 only
@@ -822,9 +697,6 @@ struct Fragment {
   std::vector<std::pair<VertexId, std::int64_t>> sent_by;
   bool has_schedule = false;
   core::Schedule schedule;
-  /// Coordinated "global" only: per timestep, the first-touch ordinal
-  /// of each recorded send (ordinal-keyed schedule interleaving).
-  std::vector<std::vector<std::int64_t>> ordinals;
 };
 
 Fragment decode_fragment(const std::string& bytes, bool shard0) {
@@ -841,10 +713,6 @@ Fragment decode_fragment(const std::string& bytes, bool shard0) {
       static_cast<std::int64_t>(frag.get_varint("fragment.bytes_sent"));
   out.bytes_received =
       static_cast<std::int64_t>(frag.get_varint("fragment.bytes_received"));
-  out.summary_entries =
-      static_cast<std::int64_t>(frag.get_varint("fragment.summary_entries"));
-  out.wave_fallbacks =
-      static_cast<std::int64_t>(frag.get_varint("fragment.wave_fallbacks"));
   if (shard0) {
     const std::uint64_t nm = frag.get_varint("fragment.moves_per_step");
     frag.require(nm == static_cast<std::uint64_t>(out.steps),
@@ -885,26 +753,6 @@ Fragment decode_fragment(const std::string& bytes, bool shard0) {
   out.has_schedule = frag.get_bool("fragment.has_schedule");
   if (out.has_schedule)
     out.schedule = util::get_schedule(frag, "fragment.schedule");
-  if (frag.get_bool("fragment.has_ordinals")) {
-    frag.require(out.has_schedule, "fragment.has_ordinals",
-                 "ordinals without a schedule");
-    const std::uint64_t n_steps = frag.get_varint("fragment.ordinals");
-    frag.require(n_steps == out.schedule.steps().size(), "fragment.ordinals",
-                 "length != schedule timesteps");
-    out.ordinals.reserve(n_steps);
-    for (std::uint64_t i = 0; i < n_steps; ++i) {
-      const std::uint64_t len = frag.get_varint("fragment.ordinals.step");
-      frag.require(len == out.schedule.steps()[i].sends().size(),
-                   "fragment.ordinals.step",
-                   "length != the timestep's send count");
-      std::vector<std::int64_t> step;
-      step.reserve(len);
-      for (std::uint64_t j = 0; j < len; ++j)
-        step.push_back(static_cast<std::int64_t>(
-            frag.get_varint("fragment.ordinals.value")));
-      out.ordinals.push_back(std::move(step));
-    }
-  }
   frag.require(frag.exhausted(), "fragment", "trailing bytes");
   return out;
 }
@@ -944,11 +792,7 @@ sim::RunResult merge_fragments(const core::Instance& inst,
   for (const Fragment& frag : frags) {
     result.stats.shard_bytes_sent += frag.bytes_sent;
     result.stats.shard_bytes_received += frag.bytes_received;
-    result.stats.shard_summary_entries += frag.summary_entries;
   }
-  // The fallback decision is part of the replicated merge, so every
-  // shard counts the same steps — report it once, not per shard.
-  result.stats.shard_wave_fallbacks = lead.wave_fallbacks;
 
   const auto n = static_cast<std::size_t>(inst.num_vertices());
   result.stats.completion_step.assign(n, -1);
@@ -967,57 +811,29 @@ sim::RunResult merge_fragments(const core::Instance& inst,
     // the single-process order: plan_vertex policies emit grouped by
     // sender (each sender lives wholly in one fragment, so a stable
     // sort by sender reassembles vertex-ascending plan order); "local"
-    // and "bandwidth" emit arc-ascending globally; coordinated
-    // "global" emits in wave order, reassembled by the first-touch
-    // ordinals the fragments carry (single-shard "global" is already
-    // the whole plan order and must not be re-sorted).
-    const bool ordinal_ordered = policy_name == "global" && num_shards > 1;
-    const bool plan_ordered = policy_name == "global" && num_shards == 1;
-    const bool arc_ordered =
-        policy_name == "local" || policy_name == "bandwidth";
-    if (ordinal_ordered)
-      for (const Fragment& frag : frags)
-        OCD_ASSERT_MSG(frag.ordinals.size() ==
-                           static_cast<std::size_t>(lead.steps),
-                       "fragment missing schedule ordinals");
+    // emits arc-ascending globally.
+    const bool arc_ordered = policy_name == "local";
     const Digraph& graph = inst.graph();
     for (std::int64_t i = 0; i < lead.steps; ++i) {
       core::Timestep merged;
-      if (ordinal_ordered) {
-        std::vector<std::pair<std::int64_t, core::ArcSend>> keyed;
-        for (Fragment& frag : frags) {
-          auto& sends =
-              frag.schedule.steps()[static_cast<std::size_t>(i)].sends();
-          const auto& ords = frag.ordinals[static_cast<std::size_t>(i)];
-          for (std::size_t j = 0; j < sends.size(); ++j)
-            keyed.emplace_back(ords[j], std::move(sends[j]));
-        }
-        std::sort(keyed.begin(), keyed.end(),
-                  [](const auto& a, const auto& b) {
-                    return a.first < b.first;
-                  });
-        for (auto& [ordinal, send] : keyed)
+      for (Fragment& frag : frags) {
+        auto& sends =
+            frag.schedule.steps()[static_cast<std::size_t>(i)].sends();
+        for (core::ArcSend& send : sends)
           merged.sends().push_back(std::move(send));
+      }
+      if (arc_ordered) {
+        std::sort(merged.sends().begin(), merged.sends().end(),
+                  [](const core::ArcSend& a, const core::ArcSend& b) {
+                    return a.arc < b.arc;
+                  });
       } else {
-        for (Fragment& frag : frags) {
-          auto& sends =
-              frag.schedule.steps()[static_cast<std::size_t>(i)].sends();
-          for (core::ArcSend& send : sends)
-            merged.sends().push_back(std::move(send));
-        }
-        if (arc_ordered) {
-          std::sort(merged.sends().begin(), merged.sends().end(),
-                    [](const core::ArcSend& a, const core::ArcSend& b) {
-                      return a.arc < b.arc;
-                    });
-        } else if (!plan_ordered) {
-          std::stable_sort(merged.sends().begin(), merged.sends().end(),
-                           [&graph](const core::ArcSend& a,
-                                    const core::ArcSend& b) {
-                             return graph.arc(a.arc).from <
-                                    graph.arc(b.arc).from;
-                           });
-        }
+        std::stable_sort(merged.sends().begin(), merged.sends().end(),
+                         [&graph](const core::ArcSend& a,
+                                  const core::ArcSend& b) {
+                           return graph.arc(a.arc).from <
+                                  graph.arc(b.arc).from;
+                         });
       }
       result.schedule.append(std::move(merged));
     }
@@ -1051,8 +867,6 @@ sim::RunResult run_sharded(const core::Instance& instance,
   ctx.policy_name = std::string(policy_name);
   ctx.sim = options.sim;
   ctx.knowledge = heuristics::make_policy(policy_name)->knowledge_class();
-  ctx.coordinated = ctx.knowledge == sim::KnowledgeClass::kGlobal;
-  ctx.wave_topk = resolve_wave_topk(options.wave_topk);
   ctx.watchdog_window = options.sim.no_progress_window;
   if (ctx.watchdog_window == 0)
     ctx.watchdog_window =

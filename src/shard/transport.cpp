@@ -32,7 +32,6 @@ namespace {
 /// checkpoint trims them, so the log is bounded by the checkpoint
 /// interval.
 struct StepMailLog {
-  std::vector<std::vector<std::string>> wave_in;   ///< [shard][peer], coordinated
   std::vector<std::vector<std::string>> plan_in;   ///< [shard][peer]
   std::vector<std::vector<std::string>> apply_in;  ///< [shard][peer]
   std::vector<std::string> losses;                 ///< [shard], in-process
@@ -76,7 +75,6 @@ TransportResult InProcessTransport::run(const RunContext& ctx) {
   RecoveryStats& rec = result.recovery;
   const bool recovery = ctx.recovery_armed;
   const bool faulted = ctx.sim.faults != nullptr;
-  const bool coordinated = ctx.coordinated && count > 1;
   std::vector<std::int32_t> incarnation(count, 0);
   std::vector<std::vector<std::string>> init_in;
   std::map<std::int64_t, StepMailLog> log;
@@ -110,27 +108,16 @@ TransportResult InProcessTransport::run(const RunContext& ctx) {
     std::vector<std::string> discard;
     for (std::int64_t k = from; k < step; ++k) {
       const StepMailLog& l = log.at(k);
-      if (coordinated) {
-        workers[s]->phase_wave(discard);
-        workers[s]->absorb_wave(l.wave_in[s]);
-      }
       workers[s]->phase_plan(discard, faulted ? &l.losses[s] : nullptr);
       workers[s]->phase_apply(l.plan_in[s], discard);
       workers[s]->phase_commit(l.apply_in[s]);
     }
     rec.replayed_steps += step - from;
-    if (coordinated ? phase != CrashPhase::kWave
-                    : phase != CrashPhase::kPlan) {
+    if (phase != CrashPhase::kPlan) {
       const StepMailLog& l = log.at(step);
-      if (coordinated) {
-        workers[s]->phase_wave(discard);
-        workers[s]->absorb_wave(l.wave_in[s]);
-      }
-      if (phase != CrashPhase::kPlan) {
-        workers[s]->phase_plan(discard, faulted ? &l.losses[s] : nullptr);
-        if (phase == CrashPhase::kCommit)
-          workers[s]->phase_apply(l.plan_in[s], discard);
-      }
+      workers[s]->phase_plan(discard, faulted ? &l.losses[s] : nullptr);
+      if (phase == CrashPhase::kCommit)
+        workers[s]->phase_apply(l.plan_in[s], discard);
     }
     ++rec.recoveries;
   };
@@ -162,13 +149,6 @@ TransportResult InProcessTransport::run(const RunContext& ctx) {
     if (driver_faults)
       ctx.sim.faults->begin_step(step, ctx.instance->graph());
     StepMailLog* l = recovery ? &log[step] : nullptr;
-    if (coordinated) {
-      inject(CrashPhase::kWave, step);
-      each([&](std::size_t s) { workers[s]->phase_wave(outbox[s]); });
-      transpose();
-      if (recovery) l->wave_in = inbox;
-      each([&](std::size_t s) { workers[s]->absorb_wave(inbox[s]); });
-    }
     inject(CrashPhase::kPlan, step);
     each([&](std::size_t s) { workers[s]->phase_plan(outbox[s]); });
     if (recovery && faulted) {
@@ -379,10 +359,9 @@ enum class Resume : std::uint8_t {
   kFresh,            ///< initial spawn, full protocol from phase_init
   kInitRound,        ///< redo the init round's I/O
   kInitCommit,       ///< absorb the logged init mail, handshake, loop
-  kWaveRound,        ///< replay, then loop from phase_wave (coordinated)
-  kPlanRound,        ///< replay (+ silent wave), loop from phase_plan
-  kApplyRound,       ///< replay; silent wave+plan; live from phase_apply
-  kCommitRound,      ///< replay; silent wave+plan+apply; live from commit
+  kPlanRound,        ///< replay, then loop from phase_plan
+  kApplyRound,       ///< replay; silent plan; live from phase_apply
+  kCommitRound,      ///< replay; silent plan+apply; live from commit
   kCheckpointFrame,  ///< replay everything, rewrite the checkpoint frame
   kFragment,         ///< replay everything, write the fragment
 };
@@ -409,7 +388,6 @@ struct Supervisor {
       : ctx(context),
         count(static_cast<std::size_t>(context.partition->num_shards)),
         timeout(context.barrier_timeout_ms),
-        coordinated(context.coordinated && count > 1),
         fds(count, -1),
         pids(count, -1),
         incarnation(count, 0),
@@ -419,7 +397,6 @@ struct Supervisor {
   const RunContext& ctx;
   std::size_t count;
   std::int64_t timeout;
-  bool coordinated;
   std::vector<int> fds;
   std::vector<pid_t> pids;
   std::vector<std::int32_t> incarnation;
@@ -448,7 +425,7 @@ struct Supervisor {
 
   /// Which message round a kFrames/kMail stage belongs to; the other
   /// stages ignore it (pass Round::kApply by convention).
-  enum class Round : std::uint8_t { kWave, kPlan, kApply };
+  enum class Round : std::uint8_t { kPlan, kApply };
 
   void spawn(std::size_t s, Resume resume) {
     int pair[2] = {-1, -1};
@@ -530,15 +507,13 @@ struct Supervisor {
                                      : Resume::kInitCommit;
     switch (stage) {
       case Stage::kFrames:
-        return round == Round::kWave    ? Resume::kWaveRound
-               : round == Round::kPlan  ? Resume::kPlanRound
-                                        : Resume::kApplyRound;
+        return round == Round::kPlan ? Resume::kPlanRound
+                                     : Resume::kApplyRound;
       case Stage::kMail:
         // The failed mail row is re-read from the log (route_round files
         // it before any write), so the child rejoins at the next round.
-        return round == Round::kWave    ? Resume::kPlanRound
-               : round == Round::kPlan  ? Resume::kApplyRound
-                                        : Resume::kCommitRound;
+        return round == Round::kPlan ? Resume::kApplyRound
+                                     : Resume::kCommitRound;
       case Stage::kStatus:
       case Stage::kAck:
         return Resume::kCommitRound;
@@ -694,9 +669,6 @@ struct Supervisor {
 
   void run_step_round() {
     StepMailLog* entry = ctx.recovery_armed ? &log[committed] : nullptr;
-    if (coordinated)
-      route_round("wave", Round::kWave,
-                  entry != nullptr ? &entry->wave_in : nullptr);
     route_round("plan", Round::kPlan,
                 entry != nullptr ? &entry->plan_in : nullptr);
     route_round("apply", Round::kApply,
@@ -775,16 +747,8 @@ void child_main(int fd, const ChildTask& task) {
       ctx.barrier_timeout_ms *
       (static_cast<std::int64_t>(count) * (ctx.max_respawns + 2) + 2);
   const auto shard = static_cast<std::size_t>(task.shard);
-  const bool coordinated = ctx.coordinated && count > 1;
   ShardWorker worker(ctx, task.shard);
   std::vector<std::string> out(count), in(count), discard(count);
-  // Silent wave for a replayed or already-routed step: the summary was
-  // already delivered in a previous incarnation, so the output is
-  // discarded and the logged peer frames are merged instead.
-  const auto replay_wave = [&](const StepMailLog& entry) {
-    worker.phase_wave(discard);
-    worker.absorb_wave(entry.wave_in[shard]);
-  };
 
   const auto handshake = [&] {
     const std::uint8_t status = worker.running() ? 0 : 1;
@@ -815,9 +779,6 @@ void child_main(int fd, const ChildTask& task) {
     }
   };
 
-  // Set when a resume point already merged the live step's wave round,
-  // so the first loop iteration must not run it again.
-  bool wave_done = false;
   if (task.resume == Resume::kFresh || task.resume == Resume::kInitRound) {
     worker.phase_init(out);
     child_round(fd, task.shard, out, in, "init", timeout);
@@ -843,25 +804,15 @@ void child_main(int fd, const ChildTask& task) {
                                   : sup.committed;
     for (const auto& [k, entry] : sup.log) {
       if (k < from || k >= upto) continue;
-      if (coordinated) replay_wave(entry);
       worker.phase_plan(discard);
       worker.phase_apply(entry.plan_in[shard], discard);
       worker.phase_commit(entry.apply_in[shard]);
     }
     switch (task.resume) {
-      case Resume::kWaveRound:
-        break;  // the loop below starts exactly at phase_wave
       case Resume::kPlanRound:
-        // The live step's wave round was already routed; rebuild the
-        // merged decision from the log, then loop from phase_plan.
-        if (coordinated) {
-          replay_wave(sup.log.at(sup.committed));
-          wave_done = true;
-        }
-        break;
+        break;  // the loop below starts exactly at phase_plan
       case Resume::kApplyRound: {
         const StepMailLog& live = sup.log.at(sup.committed);
-        if (coordinated) replay_wave(live);
         worker.phase_plan(discard);  // frames already delivered
         inject(CrashPhase::kApply);
         worker.phase_apply(live.plan_in[shard], out);
@@ -874,7 +825,6 @@ void child_main(int fd, const ChildTask& task) {
       }
       case Resume::kCommitRound: {
         const StepMailLog& live = sup.log.at(sup.committed);
-        if (coordinated) replay_wave(live);
         worker.phase_plan(discard);
         worker.phase_apply(live.plan_in[shard], discard);
         inject(CrashPhase::kCommit);
@@ -895,13 +845,6 @@ void child_main(int fd, const ChildTask& task) {
   }
 
   while (worker.running()) {
-    if (coordinated && !wave_done) {
-      inject(CrashPhase::kWave);
-      worker.phase_wave(out);
-      child_round(fd, task.shard, out, in, "wave", timeout);
-      worker.absorb_wave(in);
-    }
-    wave_done = false;
     inject(CrashPhase::kPlan);
     worker.phase_plan(out);
     child_round(fd, task.shard, out, in, "plan", timeout);

@@ -109,6 +109,12 @@ struct DynCase {
   std::string model;
 };
 
+// Keeps heap addresses out of the discovered test names (gtest would
+// otherwise print the strings' bytes, pointers included).
+void PrintTo(const DynCase& c, std::ostream* os) {
+  *os << c.policy << '/' << c.model;
+}
+
 class DynamicsEndToEnd : public ::testing::TestWithParam<DynCase> {};
 
 TEST_P(DynamicsEndToEnd, CompletesUnderChangingConditions) {

@@ -280,6 +280,8 @@ TEST(ShardDeterminism, RefusesOptionsOutsideTheEnvelope) {
   expect_refused(distances, "round-robin", "precompute_distances");
 
   expect_refused(base, "random+reliable", "adapter wrapper");
+  expect_refused(base, "global", "kGlobal planner");
+  expect_refused(base, "bandwidth", "kGlobal planner");
 
   ShardOptions negative = base;
   negative.sim.max_steps = -1;

@@ -298,84 +298,6 @@ TEST(ShardRecovery, ResolvesCheckpointIntervalFromEnvironment) {
   EXPECT_THROW(resolve_checkpoint_interval(-1), Error);
 }
 
-TEST(ShardRecovery, CrashDuringWaveMergeIsBitIdentical) {
-  // Coordinated planners add the wave round (and CrashPhase::kWave)
-  // before plan.  A crash there must replay the summary state — the
-  // policy's RNG stream, top-k lists, and the merged decision — from
-  // the checkpoint and logged wave frames bit-identically; the "global"
-  // schedule and its first-touch ordinals are the sharpest witness.
-  const core::Instance inst = broadcast_instance(32, 16, 5);
-  for (const char* policy_name : {"global", "bandwidth"}) {
-    sim::SimOptions sim;
-    sim.max_steps = 200;
-    sim.seed = 17;
-    for (std::int32_t shards : {2, 4}) {
-      const sim::RunResult reference = run_with(
-          inst, policy_name, shards, sim, TransportKind::kInProcess);
-      ASSERT_GT(reference.steps, 6);
-      CrashPlan plan;
-      plan.crash(shards - 1, 4, CrashPhase::kWave);
-      const sim::RunResult recovered =
-          run_with(inst, policy_name, shards, sim,
-                   TransportKind::kInProcess, &plan,
-                   /*checkpoint_interval=*/3);
-      const std::string label = std::string(policy_name) +
-                                " wave-crash shards=" +
-                                std::to_string(shards);
-      expect_same_run(recovered, reference, label);
-      EXPECT_EQ(recovered.stats.worker_crashes, 1) << label;
-      EXPECT_EQ(recovered.stats.recoveries, 1) << label;
-    }
-  }
-}
-
-TEST(ShardRecovery, CoordinatedCrashAtEveryPhaseIsBitIdentical) {
-  // The pre-existing phases still recover under a coordinated planner:
-  // each replays the wave round silently before rejoining live.
-  const core::Instance inst = broadcast_instance(28, 14, 11);
-  sim::SimOptions sim;
-  sim.max_steps = 200;
-  sim.seed = 29;
-  const sim::RunResult reference =
-      run_with(inst, "global", 2, sim, TransportKind::kInProcess);
-  for (CrashPhase phase :
-       {CrashPhase::kPlan, CrashPhase::kApply, CrashPhase::kCommit}) {
-    CrashPlan plan;
-    plan.crash(1, 3, phase);
-    const sim::RunResult recovered =
-        run_with(inst, "global", 2, sim, TransportKind::kInProcess, &plan,
-                 /*checkpoint_interval=*/2);
-    const std::string label =
-        std::string("global phase=") + crash_phase_name(phase);
-    expect_same_run(recovered, reference, label);
-    EXPECT_EQ(recovered.stats.recoveries, 1) << label;
-  }
-}
-
-TEST(ShardRecovery, CoordinatedCountersSurviveRecovery) {
-  // The shard traffic counters are checkpointed and re-incremented by
-  // replay, so a crashed-and-recovered run reports the same totals as
-  // the crash-free one — they stay comparable across fault studies.
-  const core::Instance inst = broadcast_instance(28, 14, 15);
-  sim::SimOptions sim;
-  sim.max_steps = 200;
-  const sim::RunResult reference =
-      run_with(inst, "global", 2, sim, TransportKind::kInProcess);
-  CrashPlan plan;
-  plan.crash(0, 4, CrashPhase::kWave).crash(1, 6, CrashPhase::kApply);
-  const sim::RunResult recovered =
-      run_with(inst, "global", 2, sim, TransportKind::kInProcess, &plan,
-               /*checkpoint_interval=*/3);
-  EXPECT_EQ(recovered.stats.shard_bytes_sent,
-            reference.stats.shard_bytes_sent);
-  EXPECT_EQ(recovered.stats.shard_bytes_received,
-            reference.stats.shard_bytes_received);
-  EXPECT_EQ(recovered.stats.shard_summary_entries,
-            reference.stats.shard_summary_entries);
-  EXPECT_EQ(recovered.stats.shard_wave_fallbacks,
-            reference.stats.shard_wave_fallbacks);
-}
-
 TEST(ShardRecovery, CheckpointingAloneLeavesRunUnchanged) {
   // Checkpoints without crashes: pure overhead, zero semantic effect.
   const core::Instance inst = broadcast_instance(28, 14, 29);
@@ -499,33 +421,6 @@ TEST(ShardForkRecovery, ZeroRespawnBudgetNeverHangsOnAWedgedPeer) {
   const auto elapsed = std::chrono::duration_cast<std::chrono::seconds>(
       std::chrono::steady_clock::now() - start);
   EXPECT_LT(elapsed.count(), 30);
-}
-
-TEST(ShardForkRecovery, CoordinatedWaveCrashRecoversAcrossProcesses) {
-  // Forked children rebuild wave state from the supervisor's log after
-  // a SIGKILL-style death in the wave round; longer and shorter
-  // checkpoint intervals cover both the restore-then-replay and the
-  // replay-from-init paths through the policy RNG restore.
-  const core::Instance inst = broadcast_instance(24, 12, 47);
-  sim::SimOptions sim;
-  sim.max_steps = 200;
-  for (const char* policy_name : {"global", "bandwidth"}) {
-    const sim::RunResult reference =
-        run_with(inst, policy_name, 2, sim, TransportKind::kForked);
-    for (const std::int64_t interval : {std::int64_t{2}, std::int64_t{50}}) {
-      CrashPlan plan;
-      plan.crash(1, 3, CrashPhase::kWave);
-      const sim::RunResult recovered =
-          run_with(inst, policy_name, 2, sim, TransportKind::kForked, &plan,
-                   interval);
-      const std::string label = std::string("fork ") + policy_name +
-                                " wave-crash interval=" +
-                                std::to_string(interval);
-      expect_same_run(recovered, reference, label);
-      EXPECT_EQ(recovered.stats.worker_crashes, 1) << label;
-      EXPECT_EQ(recovered.stats.recoveries, 1) << label;
-    }
-  }
 }
 
 TEST(ShardForkRecovery, MultipleCrashesAcrossShardsRecover) {

@@ -49,6 +49,33 @@ void expect_same_run(const sim::RunResult& a, const sim::RunResult& b,
   }
 }
 
+TEST(ShardForkTransport, RefusesGlobalPlannersOnBothTransports) {
+  // The kGlobal planners are outside the envelope at every shard count,
+  // one shard included, and the refusal names the policy.
+  const core::Instance inst = broadcast_instance(12, 4, 3);
+  for (const char* policy_name : {"global", "bandwidth"}) {
+    for (const TransportKind transport :
+         {TransportKind::kInProcess, TransportKind::kForked}) {
+      for (const std::int32_t shards : {1, 2, 4}) {
+        ShardOptions options;
+        options.num_shards = shards;
+        options.transport = transport;
+        const std::string label = std::string(policy_name) +
+                                  " shards=" + std::to_string(shards);
+        try {
+          (void)run_sharded(inst, policy_name, options);
+          ADD_FAILURE() << label << ": not refused";
+        } catch (const Error& e) {
+          EXPECT_NE(std::string(e.what()).find(std::string("'") +
+                                               policy_name + "'"),
+                    std::string::npos)
+              << label << ": " << e.what();
+        }
+      }
+    }
+  }
+}
+
 TEST(ShardForkTransport, MatchesSingleProcessRun) {
   const core::Instance inst = broadcast_instance(24, 12, 19);
   for (const char* policy_name : {"round-robin", "local"}) {

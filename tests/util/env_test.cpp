@@ -4,6 +4,7 @@
 // pinned once here instead of per caller.
 #include <gtest/gtest.h>
 
+#include <ostream>
 #include <string>
 
 #include "ocd/util/env.hpp"
@@ -16,6 +17,22 @@ struct EnvCase {
   const char* text;
   std::int64_t expected;  ///< -1 = must throw
 };
+
+// Without a printer gtest dumps the struct's bytes — including the
+// address of `text` — into the test name, so the name would change from
+// build to build.
+void PrintTo(const EnvCase& c, std::ostream* os) {
+  if (c.text == nullptr) {
+    *os << "null";
+  } else {
+    *os << '"' << c.text << '"';
+  }
+  if (c.expected >= 0) {
+    *os << " accepted as " << c.expected;
+  } else {
+    *os << " rejected";
+  }
+}
 
 class ParseEnvIntTest : public ::testing::TestWithParam<EnvCase> {};
 
