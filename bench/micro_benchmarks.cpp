@@ -9,7 +9,9 @@
 #include "ocd/sim/gossip.hpp"
 #include "ocd/core/scenario.hpp"
 #include "ocd/core/validate.hpp"
+#include "ocd/exact/bnb.hpp"
 #include "ocd/exact/ip_builder.hpp"
+#include "ocd/exact/ip_solver.hpp"
 #include "ocd/faults/model.hpp"
 #include "ocd/graph/algorithms.hpp"
 #include "ocd/heuristics/factory.hpp"
@@ -223,6 +225,26 @@ void BM_IpBuildFigure1(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_IpBuildFigure1);
+
+// The §3.4 IP layer end to end: build the time-indexed IP and solve it
+// (simplex + branch and bound) for 200 fixed table_optimality_gap-style
+// instances at their B&B makespan, found once outside the timed loop.
+void BM_SolveEocdSmall(benchmark::State& state) {
+  std::vector<std::pair<core::Instance, std::int32_t>> cases;
+  for (std::uint64_t k = 0; k < 200; ++k) {
+    Rng rng(0x7ab'0000 + k);
+    auto inst = core::random_small_instance(5, 2, 0.5, rng);
+    const auto bnb = exact::focd_min_makespan(inst, 12);
+    if (bnb) cases.emplace_back(std::move(inst), bnb->makespan);
+  }
+  for (auto _ : state) {
+    for (const auto& [inst, makespan] : cases)
+      benchmark::DoNotOptimize(exact::solve_eocd(inst, makespan));
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(cases.size()));
+}
+BENCHMARK(BM_SolveEocdSmall)->Unit(benchmark::kMillisecond)->UseRealTime();
 
 void BM_PolicyFullRun(benchmark::State& state, const char* name) {
   Rng rng(11);

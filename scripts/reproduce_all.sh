@@ -53,12 +53,12 @@ for bench in build-bench/bench/*; do
   "$bench" | tee "results/${name}.txt"
 done
 
-# Planner-kernel, token-kernel, and shard-step micro-benchmarks:
+# Planner-kernel, token-kernel, shard-step and §3.4 IP micro-benchmarks:
 # human-readable console output plus a machine-readable snapshot for
 # scripts/compare_bench.py.
-echo "== micro_benchmarks (planner + token kernels + shard steps) =="
+echo "== micro_benchmarks (planner + token kernels + shard steps + IP) =="
 build-bench/bench/micro_benchmarks \
-  --benchmark_filter='PlannerStepsPerSec|TokenKernel|ShardStep|Partition' \
+  --benchmark_filter='PlannerStepsPerSec|TokenKernel|ShardStep|Partition|SolveEocdSmall' \
   --benchmark_out=results/BENCH_planner.json \
   --benchmark_out_format=json | tee results/micro_benchmarks.txt
 
@@ -102,6 +102,7 @@ if [[ -n "${OCD_BENCH_BASELINE:-}" ]]; then
     --require-any 'Partition/greedy/k:4' \
     --require-any 'Partition/flow/k:4' \
     --require-any 'Partition/flow/k:8' \
+    --require-any 'SolveEocdSmall' \
     "${simd_requires[@]}" ||
     echo "WARNING: planner kernel throughput regressed vs baseline."
 fi

@@ -5,93 +5,12 @@
 
 #include "ocd/core/bounds.hpp"
 #include "ocd/core/validate.hpp"
+#include "ocd/flow/max_flow.hpp"
 #include "ocd/graph/algorithms.hpp"
 
 namespace ocd::exact {
 
 namespace {
-
-// ---------------------------------------------------------------------
-// Small dense max-flow (Dinic) for the last-step feasibility check.
-// ---------------------------------------------------------------------
-class MaxFlow {
- public:
-  explicit MaxFlow(int num_nodes) : head_(static_cast<std::size_t>(num_nodes), -1) {}
-
-  int add_edge(int from, int to, int capacity) {
-    const int id = static_cast<int>(edges_.size());
-    edges_.push_back({to, head_[static_cast<std::size_t>(from)], capacity});
-    head_[static_cast<std::size_t>(from)] = id;
-    edges_.push_back({from, head_[static_cast<std::size_t>(to)], 0});
-    head_[static_cast<std::size_t>(to)] = id + 1;
-    return id;
-  }
-
-  [[nodiscard]] int flow_on(int edge_id) const {
-    // Residual of the reverse edge equals the flow pushed forward.
-    return edges_[static_cast<std::size_t>(edge_id ^ 1)].capacity;
-  }
-
-  int max_flow(int source, int sink) {
-    int total = 0;
-    while (bfs(source, sink)) {
-      iter_ = head_;
-      int pushed;
-      while ((pushed = dfs(source, sink, 1 << 30)) > 0) total += pushed;
-    }
-    return total;
-  }
-
- private:
-  struct Edge {
-    int to;
-    int next;
-    int capacity;
-  };
-
-  bool bfs(int source, int sink) {
-    level_.assign(head_.size(), -1);
-    level_[static_cast<std::size_t>(source)] = 0;
-    std::vector<int> queue{source};
-    for (std::size_t qi = 0; qi < queue.size(); ++qi) {
-      const int u = queue[qi];
-      for (int e = head_[static_cast<std::size_t>(u)]; e >= 0;
-           e = edges_[static_cast<std::size_t>(e)].next) {
-        const Edge& edge = edges_[static_cast<std::size_t>(e)];
-        if (edge.capacity > 0 && level_[static_cast<std::size_t>(edge.to)] < 0) {
-          level_[static_cast<std::size_t>(edge.to)] =
-              level_[static_cast<std::size_t>(u)] + 1;
-          queue.push_back(edge.to);
-        }
-      }
-    }
-    return level_[static_cast<std::size_t>(sink)] >= 0;
-  }
-
-  int dfs(int u, int sink, int limit) {
-    if (u == sink) return limit;
-    for (int& e = iter_[static_cast<std::size_t>(u)]; e >= 0;
-         e = edges_[static_cast<std::size_t>(e)].next) {
-      Edge& edge = edges_[static_cast<std::size_t>(e)];
-      if (edge.capacity <= 0 ||
-          level_[static_cast<std::size_t>(edge.to)] !=
-              level_[static_cast<std::size_t>(u)] + 1)
-        continue;
-      const int pushed = dfs(edge.to, sink, std::min(limit, edge.capacity));
-      if (pushed > 0) {
-        edge.capacity -= pushed;
-        edges_[static_cast<std::size_t>(e ^ 1)].capacity += pushed;
-        return pushed;
-      }
-    }
-    return 0;
-  }
-
-  std::vector<int> head_;
-  std::vector<Edge> edges_;
-  std::vector<int> level_;
-  std::vector<int> iter_;
-};
 
 // ---------------------------------------------------------------------
 // Possession-state memoization key.
@@ -198,59 +117,51 @@ class Searcher {
   }
 
   /// Exact one-step feasibility via max-flow; on success appends the
-  /// realizing timestep to `steps`.
+  /// realizing timestep to `steps`.  The network is source -> arc
+  /// (capacity c(a)) -> need (1 per token the arc's tail holds) -> sink
+  /// (1), so a flow saturating every need edge picks exactly one
+  /// transfer per outstanding (vertex, token).
   bool final_step(const std::vector<TokenSet>& possession,
                   std::vector<core::Timestep>& steps) {
     ++stats_.flow_checks;
-    // Collect outstanding needs.
-    struct Need {
-      VertexId vertex;
-      TokenId token;
-    };
-    std::vector<Need> needs;
+    needs_.clear();
     for (VertexId v = 0; v < inst_.num_vertices(); ++v) {
       const TokenSet missing =
           inst_.want(v) - possession[static_cast<std::size_t>(v)];
-      missing.for_each([&](TokenId t) { needs.push_back({v, t}); });
+      missing.for_each([&](TokenId t) { needs_.push_back({v, t}); });
     }
-    if (needs.empty()) return true;
+    if (needs_.empty()) return true;
 
-    const int num_arcs = inst_.graph().num_arcs();
-    const int source = 0;
-    const int arc_base = 1;
-    const int need_base = arc_base + num_arcs;
-    const int sink = need_base + static_cast<int>(needs.size());
-    MaxFlow flow(sink + 1);
-
-    std::vector<int> arc_source_edge(static_cast<std::size_t>(num_arcs), -1);
-    for (ArcId a = 0; a < num_arcs; ++a) {
-      arc_source_edge[static_cast<std::size_t>(a)] =
-          flow.add_edge(source, arc_base + a, inst_.graph().arc(a).capacity);
-    }
-    // arc -> need edges (record ids for schedule reconstruction).
-    std::vector<std::pair<int, std::pair<ArcId, std::size_t>>> transfer_edges;
-    for (std::size_t k = 0; k < needs.size(); ++k) {
-      const auto& [v, t] = needs[k];
-      for (ArcId a : inst_.graph().in_arcs(v)) {
+    const std::int32_t num_arcs = inst_.graph().num_arcs();
+    const std::int32_t source = 0;
+    const std::int32_t arc_base = 1;
+    const std::int32_t need_base = arc_base + num_arcs;
+    const auto num_needs = static_cast<std::int32_t>(needs_.size());
+    const std::int32_t sink = need_base + num_needs;
+    flow_.reset(sink + 1);
+    for (ArcId a = 0; a < num_arcs; ++a)
+      flow_.add_edge(source, arc_base + a, inst_.graph().arc(a).capacity);
+    // arc -> need edges (recorded for schedule reconstruction).
+    transfers_.clear();
+    for (std::int32_t k = 0; k < num_needs; ++k) {
+      const Need& need = needs_[static_cast<std::size_t>(k)];
+      for (ArcId a : inst_.graph().in_arcs(need.vertex)) {
         const VertexId u = inst_.graph().arc(a).from;
-        if (possession[static_cast<std::size_t>(u)].test(t)) {
-          const int id =
-              flow.add_edge(arc_base + a, need_base + static_cast<int>(k), 1);
-          transfer_edges.push_back({id, {a, k}});
+        if (possession[static_cast<std::size_t>(u)].test(need.token)) {
+          const std::int32_t edge =
+              flow_.add_edge(arc_base + a, need_base + k, 1);
+          transfers_.push_back({edge, a, need.token});
         }
       }
-      flow.add_edge(need_base + static_cast<int>(k), sink, 1);
+      flow_.add_edge(need_base + k, sink, 1);
     }
 
-    const int pushed = flow.max_flow(source, sink);
-    if (pushed != static_cast<int>(needs.size())) return false;
+    if (flow_.run(source, sink) != num_needs) return false;
 
     core::Timestep step;
-    for (const auto& [edge_id, key] : transfer_edges) {
-      if (flow.flow_on(edge_id) > 0) {
-        const auto& [a, k] = key;
-        step.add(a, needs[k].token, universe_);
-      }
+    for (const Transfer& transfer : transfers_) {
+      if (flow_.flow(transfer.edge) > 0)
+        step.add(transfer.arc, transfer.token, universe_);
     }
     steps.push_back(std::move(step));
     return true;
@@ -385,6 +296,20 @@ class Searcher {
   std::vector<std::vector<std::int32_t>> distances_;
   std::vector<std::int64_t> in_capacity_;
   std::unordered_map<StateKey, std::int32_t, StateKeyHash> memo_;
+
+  // final_step() scratch, reused across checks.
+  struct Need {
+    VertexId vertex;
+    TokenId token;
+  };
+  struct Transfer {
+    std::int32_t edge;
+    ArcId arc;
+    TokenId token;
+  };
+  std::vector<Need> needs_;
+  std::vector<Transfer> transfers_;
+  flow::MaxFlow flow_;
 };
 
 }  // namespace

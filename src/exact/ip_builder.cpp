@@ -1,16 +1,6 @@
 #include "ocd/exact/ip_builder.hpp"
 
-#include <string>
-
 namespace ocd::exact {
-
-namespace {
-std::string var_name(const char* kind, std::int32_t a, std::int32_t b,
-                     std::int32_t c) {
-  return std::string(kind) + "[" + std::to_string(a) + "," + std::to_string(b) +
-         "," + std::to_string(c) + "]";
-}
-}  // namespace
 
 TimeIndexedIp::TimeIndexedIp(const core::Instance& inst, std::int32_t horizon)
     : instance_(inst), horizon_(horizon) {
@@ -24,8 +14,7 @@ TimeIndexedIp::TimeIndexedIp(const core::Instance& inst, std::int32_t horizon)
   for (ArcId a = 0; a < num_arcs; ++a) {
     for (TokenId t = 0; t < num_tokens; ++t) {
       for (std::int32_t i = 1; i <= horizon_; ++i) {
-        program_.add_variable(0.0, 1.0, 1.0, lp::VarType::kInteger,
-                              var_name("send", a, t, i));
+        program_.add_variable(0.0, 1.0, 1.0, lp::VarType::kInteger);
       }
     }
   }
@@ -43,8 +32,7 @@ TimeIndexedIp::TimeIndexedIp(const core::Instance& inst, std::int32_t horizon)
         if (has) lower = 1.0;             // possession is monotone
         if (i == 0 && !has) upper = 0.0;  // initial assignment
         if (i == horizon_ && wants) lower = 1.0;  // success condition
-        program_.add_variable(lower, upper, 0.0, lp::VarType::kInteger,
-                              var_name("hold", v, t, i));
+        program_.add_variable(lower, upper, 0.0, lp::VarType::kInteger);
       }
     }
   }

@@ -23,8 +23,9 @@
 // solver and only ever grows: once a MaxFlow instance has solved a
 // network of some size, re-filling and re-solving networks of at most
 // that size performs **zero heap allocations** — the contract the
-// shard partitioner's per-pair refinement loop and (later) per-step
-// flow planners rely on, pinned by tests/flow/flow_alloc_test.cpp.
+// shard partitioner's per-pair refinement loop and the exact search's
+// last-step check (exact/bnb.cpp) rely on, pinned by
+// tests/flow/flow_alloc_test.cpp.
 //
 // The solver is deterministic: identical add_edge sequences yield
 // identical flows, residual networks, and min-cut sides on every host.

@@ -9,7 +9,6 @@
 
 #include <cstdint>
 #include <limits>
-#include <string>
 #include <vector>
 
 #include "ocd/util/error.hpp"
@@ -33,14 +32,12 @@ struct Variable {
   double upper = kInfinity;
   double objective = 0.0;
   VarType type = VarType::kContinuous;
-  std::string name;
 };
 
 struct Constraint {
   std::vector<Term> terms;
   Relation relation = Relation::kLessEqual;
   double rhs = 0.0;
-  std::string name;
 };
 
 class LinearProgram {
@@ -49,16 +46,15 @@ class LinearProgram {
   /// at least one finite bound (the simplex starts variables at a finite
   /// bound; genuinely free variables are not needed by this library).
   std::int32_t add_variable(double lower, double upper, double objective,
-                            VarType type = VarType::kContinuous,
-                            std::string name = {});
+                            VarType type = VarType::kContinuous);
 
   /// Convenience for 0/1 variables.
-  std::int32_t add_binary(double objective, std::string name = {});
+  std::int32_t add_binary(double objective);
 
   /// Adds a constraint row and returns its index.  Duplicate variable
   /// entries within a row are merged.
   std::int32_t add_constraint(std::vector<Term> terms, Relation relation,
-                              double rhs, std::string name = {});
+                              double rhs);
 
   [[nodiscard]] std::int32_t num_variables() const noexcept {
     return static_cast<std::int32_t>(variables_.size());

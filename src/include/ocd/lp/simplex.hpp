@@ -6,6 +6,15 @@
 // thousand rows/columns); a dense tableau keeps the implementation
 // simple and auditable.
 //
+// Storage: the tableau is one flat row-major array whose width is set
+// before allocation.  A structural column fixed by its bounds
+// (lower == upper, e.g. the IP's initial-possession `hold` variables or
+// a binary branched on by branch and bound) is not stored at all: it
+// can never enter the basis, so it only contributes its value to the
+// starting residuals.  The stored columns keep their original order,
+// so pricing, Bland's tie-breaks and the ratio test see the same
+// indices and do the same float operations as over the full matrix.
+//
 // Method: rows are normalized to `a·x + s = b` with slack bounds
 // encoding the relation; phase 1 minimizes the sum of artificial
 // variables added for rows whose slack-basic start is out of bounds;

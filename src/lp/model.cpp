@@ -6,22 +6,20 @@
 namespace ocd::lp {
 
 std::int32_t LinearProgram::add_variable(double lower, double upper,
-                                         double objective, VarType type,
-                                         std::string name) {
+                                         double objective, VarType type) {
   OCD_EXPECTS(lower <= upper);
   OCD_EXPECTS(std::isfinite(lower) || std::isfinite(upper));
   OCD_EXPECTS(std::isfinite(objective));
-  variables_.push_back(Variable{lower, upper, objective, type, std::move(name)});
+  variables_.push_back(Variable{lower, upper, objective, type});
   return static_cast<std::int32_t>(variables_.size()) - 1;
 }
 
-std::int32_t LinearProgram::add_binary(double objective, std::string name) {
-  return add_variable(0.0, 1.0, objective, VarType::kInteger, std::move(name));
+std::int32_t LinearProgram::add_binary(double objective) {
+  return add_variable(0.0, 1.0, objective, VarType::kInteger);
 }
 
 std::int32_t LinearProgram::add_constraint(std::vector<Term> terms,
-                                           Relation relation, double rhs,
-                                           std::string name) {
+                                           Relation relation, double rhs) {
   OCD_EXPECTS(std::isfinite(rhs));
   // Merge duplicate variables and validate indices.
   std::sort(terms.begin(), terms.end(),
@@ -38,8 +36,7 @@ std::int32_t LinearProgram::add_constraint(std::vector<Term> terms,
     }
   }
   std::erase_if(merged, [](const Term& t) { return t.coeff == 0.0; });
-  constraints_.push_back(
-      Constraint{std::move(merged), relation, rhs, std::move(name)});
+  constraints_.push_back(Constraint{std::move(merged), relation, rhs});
   return static_cast<std::int32_t>(constraints_.size()) - 1;
 }
 

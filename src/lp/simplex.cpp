@@ -22,9 +22,16 @@ const char* to_string(SolveStatus status) {
 namespace {
 
 /// Dense bounded-variable simplex working state.  Columns are
-/// [structural | slack | artificial]; the tableau holds B⁻¹A maintained
-/// by explicit pivots, with the active objective carried as an extra row
-/// (reduced costs) that the pivots keep up to date.
+/// [structural | slack | artificial] and every per-column vector below
+/// is indexed that way.  The tableau holds B⁻¹A maintained by explicit
+/// pivots in one flat row-major array that stores only the columns
+/// pricing can select: a structural column fixed by its bounds
+/// (lower == upper) never enters the basis, never changes value and
+/// never feeds another column's update, so it has no stored column.
+/// `stored_` lists the stored columns in column order, which keeps
+/// every scan, tie-break and float operation on the other columns as
+/// if the fixed ones were there.  The active objective's reduced costs
+/// are carried per stored column and kept up to date by the pivots.
 class Tableau {
  public:
   Tableau(const LinearProgram& lp, const std::vector<double>& lower,
@@ -42,7 +49,7 @@ class Tableau {
       cost_[j] = lp.variable(static_cast<std::int32_t>(j)).objective;
 
     // Slack columns: one per row; bounds encode the relation.
-    slack_begin_ = n_struct;
+    const std::size_t slack_begin = n_struct;
     for (std::size_t i = 0; i < m; ++i) {
       const auto& row = lp.constraint(static_cast<std::int32_t>(i));
       switch (row.relation) {
@@ -61,42 +68,27 @@ class Tableau {
       }
       cost_.push_back(0.0);
     }
-    total_cols_ = n_struct + m;  // artificials appended on demand
-
-    // Dense constraint matrix rows (structural + slack identity).
-    matrix_.assign(m, std::vector<double>(total_cols_, 0.0));
-    rhs_.assign(m, 0.0);
-    for (std::size_t i = 0; i < m; ++i) {
-      const auto& row = lp.constraint(static_cast<std::int32_t>(i));
-      for (const Term& t : row.terms)
-        matrix_[i][static_cast<std::size_t>(t.var)] = t.coeff;
-      matrix_[i][slack_begin_ + i] = 1.0;
-      rhs_[i] = row.rhs;
-    }
 
     // Start structural and slack variables at a finite bound.
-    value_.assign(total_cols_, 0.0);
-    for (std::size_t j = 0; j < total_cols_; ++j)
+    value_.assign(n_struct + m, 0.0);
+    for (std::size_t j = 0; j < n_struct + m; ++j)
       value_[j] = std::isfinite(lower_[j]) ? lower_[j]
                   : std::isfinite(upper_[j]) ? upper_[j]
                                              : 0.0;
 
     // Choose the initial basis: slack if its implied value is within its
-    // bounds, otherwise an artificial column.
-    basis_.assign(m, -1);
-    in_basis_.assign(total_cols_, false);
+    // bounds, otherwise an artificial column.  Terms are sorted by
+    // variable, so the residual sums in column order.
+    basis_.assign(m, 0);
     std::vector<std::pair<std::size_t, double>> artificial_rows;
     for (std::size_t i = 0; i < m; ++i) {
-      double residual = rhs_[i];
-      for (std::size_t j = 0; j < total_cols_; ++j) {
-        if (j == slack_begin_ + i) continue;
-        if (matrix_[i][j] != 0.0) residual -= matrix_[i][j] * value_[j];
-      }
-      const std::size_t slack = slack_begin_ + i;
+      double residual = lp.constraint(static_cast<std::int32_t>(i)).rhs;
+      for (const Term& t : lp.constraint(static_cast<std::int32_t>(i)).terms)
+        residual -= t.coeff * value_[static_cast<std::size_t>(t.var)];
+      const std::size_t slack = slack_begin + i;
       if (residual >= lower_[slack] - options_.eps &&
           residual <= upper_[slack] + options_.eps) {
-        basis_[i] = static_cast<std::int64_t>(slack);
-        in_basis_[slack] = true;
+        basis_[i] = slack;
         value_[slack] = residual;
       } else {
         // Clamp slack to its nearest bound; the artificial absorbs the
@@ -107,32 +99,53 @@ class Tableau {
       }
     }
 
-    artificial_begin_ = total_cols_;
-    for (const auto& [row, violation] : artificial_rows) {
+    artificial_begin_ = n_struct + m;
+    total_cols_ = artificial_begin_ + artificial_rows.size();
+    lower_.resize(total_cols_, 0.0);
+    upper_.resize(total_cols_, kInfinity);
+    cost_.resize(total_cols_, 0.0);
+    value_.resize(total_cols_, 0.0);
+
+    // Stored columns: every column except the fixed structurals.
+    std::vector<std::size_t> stored_index(total_cols_, 0);
+    for (std::size_t j = 0; j < total_cols_; ++j) {
+      if (j < n_struct && lower_[j] == upper_[j]) continue;
+      stored_index[j] = stored_.size();
+      stored_.push_back(j);
+    }
+    width_ = stored_.size();
+
+    tableau_.assign(m * width_, 0.0);
+    for (std::size_t i = 0; i < m; ++i) {
+      double* row = row_ptr(i);
+      for (const Term& t : lp.constraint(static_cast<std::int32_t>(i)).terms) {
+        const auto j = static_cast<std::size_t>(t.var);
+        if (lower_[j] != upper_[j]) row[stored_index[j]] = t.coeff;
+      }
+      row[stored_index[slack_begin + i]] = 1.0;
+    }
+    for (std::size_t k = 0; k < artificial_rows.size(); ++k) {
       // Scale the row so the artificial enters with coefficient +1 and a
       // nonnegative value (row scaling by ±1 is harmless).
-      const double sigma = violation >= 0.0 ? 1.0 : -1.0;
-      if (sigma < 0.0) {
-        for (auto& entry : matrix_[row]) entry = -entry;
-        rhs_[row] = -rhs_[row];
+      const auto [i, violation] = artificial_rows[k];
+      double* row = row_ptr(i);
+      if (violation < 0.0) {
+        for (std::size_t s = 0; s < width_; ++s) row[s] = -row[s];
       }
-      for (std::size_t i = 0; i < m; ++i)
-        matrix_[i].push_back(i == row ? 1.0 : 0.0);
-      lower_.push_back(0.0);
-      upper_.push_back(kInfinity);
-      cost_.push_back(0.0);
-      value_.push_back(std::abs(violation));
-      in_basis_.push_back(true);
-      basis_[row] = static_cast<std::int64_t>(total_cols_);
-      ++total_cols_;
+      const std::size_t artificial = artificial_begin_ + k;
+      row[stored_index[artificial]] = 1.0;
+      value_[artificial] = std::abs(violation);
+      basis_[i] = artificial;
     }
-    num_artificials_ = total_cols_ - artificial_begin_;
+
+    in_basis_.assign(total_cols_, 0);
+    for (const std::size_t b : basis_) in_basis_[b] = 1;
   }
 
   LpSolution solve() {
     LpSolution result;
 
-    if (num_artificials_ > 0) {
+    if (total_cols_ > artificial_begin_) {
       // Phase 1: minimize the sum of artificials.
       std::vector<double> phase1_cost(total_cols_, 0.0);
       for (std::size_t j = artificial_begin_; j < total_cols_; ++j)
@@ -184,14 +197,15 @@ class Tableau {
     while (iterations < options_.max_iterations) {
       ++iterations;
 
-      // Pricing: eligible nonbasic columns.
-      std::size_t entering = total_cols_;
+      // Pricing: eligible nonbasic columns, by stored column `s`.
+      std::size_t entering = width_;
       int direction = 0;
       double best_score = options_.eps;
-      for (std::size_t j = 0; j < total_cols_; ++j) {
+      for (std::size_t s = 0; s < width_; ++s) {
+        const std::size_t j = stored_[s];
         if (in_basis_[j]) continue;
         if (lower_[j] == upper_[j]) continue;  // fixed
-        const double d = reduced[j];
+        const double d = reduced[s];
         const bool at_lower = value_[j] <= lower_[j] + options_.eps;
         const bool at_upper = value_[j] >= upper_[j] - options_.eps;
         int dir = 0;
@@ -206,27 +220,28 @@ class Tableau {
           continue;
         }
         if (bland) {
-          entering = j;
+          entering = s;
           direction = dir;
           break;  // smallest index
         }
         if (score > best_score) {
           best_score = score;
-          entering = j;
+          entering = s;
           direction = dir;
         }
       }
-      if (entering == total_cols_) return SolveStatus::kOptimal;
+      if (entering == width_) return SolveStatus::kOptimal;
+      const std::size_t column = stored_[entering];
 
       // Ratio test along the entering direction.
       const double sigma = static_cast<double>(direction);
-      double limit = upper_[entering] - lower_[entering];  // bound flip
+      double limit = upper_[column] - lower_[column];  // bound flip
       std::size_t leaving_row = rows_;
       double leaving_target = 0.0;  // bound the leaving variable lands on
       for (std::size_t i = 0; i < rows_; ++i) {
-        const double a = matrix_[i][entering];
+        const double a = row_ptr(i)[entering];
         if (std::abs(a) <= options_.eps) continue;
-        const auto b = static_cast<std::size_t>(basis_[i]);
+        const std::size_t b = basis_[i];
         // Basic value changes at rate -sigma * a per unit of entering.
         const double rate = -sigma * a;
         double room;
@@ -256,20 +271,18 @@ class Tableau {
 
       // Apply the step.
       if (limit > 0.0) {
-        value_[entering] += sigma * limit;
+        value_[column] += sigma * limit;
         for (std::size_t i = 0; i < rows_; ++i) {
-          const double a = matrix_[i][entering];
-          if (a != 0.0)
-            value_[static_cast<std::size_t>(basis_[i])] -= sigma * a * limit;
+          const double a = row_ptr(i)[entering];
+          if (a != 0.0) value_[basis_[i]] -= sigma * a * limit;
         }
       }
 
       if (leaving_row == rows_) {
         // Pure bound flip; no basis change.  Snap to the exact bound.
-        value_[entering] = direction > 0 ? upper_[entering] : lower_[entering];
+        value_[column] = direction > 0 ? upper_[column] : lower_[column];
       } else {
-        const auto leaving = static_cast<std::size_t>(basis_[leaving_row]);
-        value_[leaving] = leaving_target;  // snap to its bound exactly
+        value_[basis_[leaving_row]] = leaving_target;  // snap to its bound
         pivot(leaving_row, entering, reduced);
       }
 
@@ -297,67 +310,72 @@ class Tableau {
   [[nodiscard]] std::vector<double> compute_reduced_costs(
       const std::vector<double>& active_cost) const {
     // y = c_B^T * tableau accumulated row-wise, then d = c - y.
-    std::vector<double> reduced = active_cost;
+    std::vector<double> reduced(width_);
+    for (std::size_t s = 0; s < width_; ++s)
+      reduced[s] = active_cost[stored_[s]];
     for (std::size_t i = 0; i < rows_; ++i) {
-      const double cb = active_cost[static_cast<std::size_t>(basis_[i])];
+      const double cb = active_cost[basis_[i]];
       if (cb == 0.0) continue;
-      const auto& row = matrix_[i];
-      for (std::size_t j = 0; j < total_cols_; ++j) reduced[j] -= cb * row[j];
+      const double* row = row_ptr(i);
+      for (std::size_t s = 0; s < width_; ++s) reduced[s] -= cb * row[s];
     }
     // Basic columns have zero reduced cost by construction; clean up
     // numerical residue so pricing never selects them.
-    for (std::size_t i = 0; i < rows_; ++i)
-      reduced[static_cast<std::size_t>(basis_[i])] = 0.0;
+    for (std::size_t s = 0; s < width_; ++s)
+      if (in_basis_[stored_[s]]) reduced[s] = 0.0;
     return reduced;
   }
 
   void pivot(std::size_t row, std::size_t entering,
              std::vector<double>& reduced) {
-    const double pivot_value = matrix_[row][entering];
+    double* pivot_row = row_ptr(row);
+    const double pivot_value = pivot_row[entering];
     OCD_ASSERT(std::abs(pivot_value) > options_.eps);
-    auto& pivot_row = matrix_[row];
     const double inv = 1.0 / pivot_value;
-    for (auto& entry : pivot_row) entry *= inv;
-    rhs_[row] *= inv;
+    for (std::size_t s = 0; s < width_; ++s) pivot_row[s] *= inv;
 
     for (std::size_t i = 0; i < rows_; ++i) {
       if (i == row) continue;
-      const double factor = matrix_[i][entering];
+      double* target = row_ptr(i);
+      const double factor = target[entering];
       if (factor == 0.0) continue;
-      auto& target = matrix_[i];
-      for (std::size_t j = 0; j < total_cols_; ++j)
-        target[j] -= factor * pivot_row[j];
-      rhs_[i] -= factor * rhs_[row];
+      for (std::size_t s = 0; s < width_; ++s)
+        target[s] -= factor * pivot_row[s];
     }
     const double dfactor = reduced[entering];
     if (dfactor != 0.0) {
-      for (std::size_t j = 0; j < total_cols_; ++j)
-        reduced[j] -= dfactor * pivot_row[j];
+      for (std::size_t s = 0; s < width_; ++s)
+        reduced[s] -= dfactor * pivot_row[s];
     }
 
-    const auto leaving = static_cast<std::size_t>(basis_[row]);
-    in_basis_[leaving] = false;
-    in_basis_[entering] = true;
-    basis_[row] = static_cast<std::int64_t>(entering);
+    in_basis_[basis_[row]] = 0;
+    basis_[row] = stored_[entering];
+    in_basis_[basis_[row]] = 1;
     reduced[entering] = 0.0;
+  }
+
+  [[nodiscard]] double* row_ptr(std::size_t i) {
+    return tableau_.data() + i * width_;
+  }
+  [[nodiscard]] const double* row_ptr(std::size_t i) const {
+    return tableau_.data() + i * width_;
   }
 
   SimplexOptions options_;
   std::size_t num_struct_ = 0;
   std::size_t rows_ = 0;
-  std::size_t slack_begin_ = 0;
   std::size_t artificial_begin_ = 0;
-  std::size_t num_artificials_ = 0;
   std::size_t total_cols_ = 0;
+  std::size_t width_ = 0;  // stored columns
 
-  std::vector<std::vector<double>> matrix_;
-  std::vector<double> rhs_;
+  std::vector<double> tableau_;      // rows_ x width_, row-major
+  std::vector<std::size_t> stored_;  // stored column -> column
   std::vector<double> lower_;
   std::vector<double> upper_;
   std::vector<double> cost_;
   std::vector<double> value_;
-  std::vector<std::int64_t> basis_;
-  std::vector<bool> in_basis_;
+  std::vector<std::size_t> basis_;     // basic column per row
+  std::vector<std::uint8_t> in_basis_;  // per column
 };
 
 }  // namespace

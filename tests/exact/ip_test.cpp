@@ -3,8 +3,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+
 #include "ocd/core/scenario.hpp"
 #include "ocd/core/validate.hpp"
+#include "ocd/exact/bnb.hpp"
+#include "ocd/lp/mip.hpp"
 
 namespace ocd::exact {
 namespace {
@@ -190,6 +194,47 @@ TEST(LpBound, NeverExceedsIpOptimumOnRandomInstances) {
     ASSERT_TRUE(lp_lb.has_value()) << seed;
     EXPECT_LE(*lp_lb, static_cast<double>(ip->bandwidth) + 1e-6) << seed;
   }
+}
+
+// Pins the simplex's pivot sequence: a fixed block of small random IPs
+// solved at their B&B makespan must reproduce the iteration and node
+// totals, the objective sum and the exact bits of every solution value
+// that the dense vector-of-rows tableau produced.  A change to the
+// tableau's layout must leave all four untouched; a change to pricing,
+// the ratio test or the float order of any update moves them.
+TEST(IpPivotPin, FixedBlockReproducesIterationsNodesAndSolutionBits) {
+  std::int64_t iterations = 0;
+  std::int64_t nodes = 0;
+  double objective = 0.0;
+  std::uint64_t digest = 0xcbf29ce484222325ULL;  // FNV-1a 64
+  int solved = 0;
+  for (std::uint64_t k = 0; k < 300; ++k) {
+    Rng rng(0x9170'0000 + k);
+    const auto inst = core::random_small_instance(5, 2, 0.5, rng);
+    const auto bnb = focd_min_makespan(inst, 12);
+    ASSERT_TRUE(bnb.has_value()) << k;
+    if (bnb->makespan == 0) continue;
+    const TimeIndexedIp ip(inst, bnb->makespan);
+    const lp::MipResult mip = lp::solve_mip(ip.program());
+    ASSERT_EQ(mip.status, lp::SolveStatus::kOptimal) << k;
+    ++solved;
+    iterations += mip.lp_iterations;
+    nodes += mip.nodes_explored;
+    objective += mip.objective;
+    for (const double v : mip.values) {
+      std::uint64_t bits = 0;
+      std::memcpy(&bits, &v, sizeof bits);
+      for (int byte = 0; byte < 8; ++byte) {
+        digest ^= (bits >> (8 * byte)) & 0xffU;
+        digest *= 0x100000001b3ULL;
+      }
+    }
+  }
+  EXPECT_EQ(solved, 300);
+  EXPECT_EQ(iterations, 16657);
+  EXPECT_EQ(nodes, 400);
+  EXPECT_EQ(objective, 1416.0);
+  EXPECT_EQ(digest, 0x177bdc45aba90598ULL);
 }
 }  // namespace
 }  // namespace ocd::exact

@@ -17,11 +17,10 @@ TEST(Model, AddVariableValidatesBounds) {
 
 TEST(Model, BinaryHelper) {
   LinearProgram lp;
-  const auto x = lp.add_binary(3.0, "x");
+  const auto x = lp.add_binary(3.0);
   EXPECT_EQ(lp.variable(x).lower, 0.0);
   EXPECT_EQ(lp.variable(x).upper, 1.0);
   EXPECT_EQ(lp.variable(x).type, VarType::kInteger);
-  EXPECT_EQ(lp.variable(x).name, "x");
   EXPECT_TRUE(lp.has_integer_variables());
 }
 

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "ocd/util/rng.hpp"
 
 namespace ocd::lp {
@@ -185,6 +187,113 @@ TEST(Simplex, RandomLpsSatisfyConstraintsAtOptimum) {
           << "trial " << trial;
     }
   }
+}
+
+// The tableau stores no column for a structural fixed by its bounds.
+// Random LPs with >= and = rows (so phase 1 needs artificials), negative
+// and one-sided bounds, and columns fixed either in the model or only
+// through solve_lp_with_bounds overrides must solve exactly like the
+// same LP with every fixed column substituted into the right-hand sides.
+TEST(SimplexFixedColumns, MatchTheLpWithFixedColumnsSubstituted) {
+  Rng rng(0xf1c5);
+  int counts[4] = {0, 0, 0, 0};
+  int fixed_in_model = 0;
+  int fixed_by_override = 0;
+  for (int trial = 0; trial < 1000; ++trial) {
+    const int n = 3 + static_cast<int>(rng.below(6));
+    const int m = 2 + static_cast<int>(rng.below(6));
+    LinearProgram full;
+    std::vector<double> lower(static_cast<std::size_t>(n));
+    std::vector<double> upper(static_cast<std::size_t>(n));
+    std::vector<double> cost(static_cast<std::size_t>(n));
+    std::vector<double> point(static_cast<std::size_t>(n));  // feasible-ish
+    std::vector<bool> fixed(static_cast<std::size_t>(n), false);
+    for (std::size_t j = 0; j < lower.size(); ++j) {
+      double lo = -static_cast<double>(rng.below(4));
+      double hi = lo + static_cast<double>(rng.below(5));
+      if (rng.chance(0.2)) {
+        hi = kInfinity;
+      } else if (rng.chance(0.12)) {
+        lo = -kInfinity;
+      }
+      cost[j] = static_cast<double>(rng.below(7)) - 3.0;
+      const double anchor = std::isfinite(lo) ? lo : hi;
+      point[j] = anchor + (std::isfinite(lo) ? 1.0 : -1.0) *
+                              static_cast<double>(rng.below(3));
+      if (std::isfinite(hi)) point[j] = std::min(point[j], hi);
+      if (std::isfinite(lo)) point[j] = std::max(point[j], lo);
+      const double pick = rng.uniform_real();
+      if (pick < 0.25) {  // fixed in the model
+        lo = hi = point[j];
+        fixed[j] = true;
+        ++fixed_in_model;
+      }
+      full.add_variable(lo, hi, cost[j]);
+      lower[j] = lo;
+      upper[j] = hi;
+      if (pick >= 0.25 && pick < 0.5) {  // fixed only by the override
+        lower[j] = upper[j] = point[j];
+        fixed[j] = true;
+        ++fixed_by_override;
+      }
+    }
+
+    LinearProgram substituted;
+    std::vector<std::int32_t> index(static_cast<std::size_t>(n), -1);
+    double offset = 0.0;
+    for (std::size_t j = 0; j < lower.size(); ++j) {
+      if (fixed[j]) {
+        offset += cost[j] * point[j];
+      } else {
+        index[j] = substituted.add_variable(lower[j], upper[j], cost[j]);
+      }
+    }
+    for (int i = 0; i < m; ++i) {
+      std::vector<Term> terms;
+      std::vector<Term> free_terms;
+      double activity = 0.0;
+      double fixed_activity = 0.0;
+      for (std::int32_t j = 0; j < n; ++j) {
+        if (!rng.chance(0.6)) continue;
+        const double a = static_cast<double>(rng.below(7)) - 3.0;
+        if (a == 0.0) continue;
+        const auto col = static_cast<std::size_t>(j);
+        terms.push_back({j, a});
+        activity += a * point[col];
+        if (fixed[col]) {
+          fixed_activity += a * point[col];
+        } else {
+          free_terms.push_back({index[col], a});
+        }
+      }
+      const auto relation = static_cast<Relation>(rng.below(3));
+      double rhs = activity;
+      if (relation == Relation::kLessEqual) rhs += static_cast<double>(rng.below(3));
+      if (relation == Relation::kGreaterEqual) rhs -= static_cast<double>(rng.below(3));
+      if (rng.chance(0.1)) rhs += 1.5;  // sometimes push it out of reach
+      full.add_constraint(std::move(terms), relation, rhs);
+      substituted.add_constraint(std::move(free_terms), relation,
+                                 rhs - fixed_activity);
+    }
+
+    const LpSolution a = solve_lp_with_bounds(full, lower, upper);
+    const LpSolution b = solve_lp(substituted);
+    ASSERT_EQ(a.status, b.status) << "trial " << trial;
+    ++counts[static_cast<int>(a.status)];
+    if (a.status != SolveStatus::kOptimal) continue;
+    EXPECT_NEAR(a.objective, b.objective + offset, 1e-9) << "trial " << trial;
+    for (std::size_t j = 0; j < lower.size(); ++j) {
+      if (fixed[j]) {
+        EXPECT_EQ(a.values[j], point[j]) << "trial " << trial;
+      }
+    }
+  }
+  // Every outcome the substitution could disturb actually occurred.
+  EXPECT_GT(counts[static_cast<int>(SolveStatus::kOptimal)], 500);
+  EXPECT_GT(counts[static_cast<int>(SolveStatus::kInfeasible)], 50);
+  EXPECT_GT(counts[static_cast<int>(SolveStatus::kUnbounded)], 25);
+  EXPECT_GT(fixed_in_model, 500);
+  EXPECT_GT(fixed_by_override, 500);
 }
 
 }  // namespace
