@@ -305,19 +305,15 @@ BENCHMARK_CAPTURE(BM_SimulatorStepsPerSec, random_stale4, "random", 4)
 
 // Per-policy planning throughput (steps/sec) on a fixed workload.  A
 // bounded window of steps per iteration isolates plan_step cost at the
-// 1000v x 512t point.  The third argument is the intra-run worker
-// budget: /threads:1 is the serial baseline, /threads:2 and /threads:8
-// exercise the simulator's sharded apply (every planner plans
-// serially) — outputs are bit-identical, only the wall clock may move.
-// UseRealTime: pool workers do part of the work, so items_per_second
-// must count wall time, not the main thread's CPU time.
+// 1000v x 512t point.  Rows are BM_PlannerStepsPerSec/<policy>/<n>/
+// <tokens>; sim::run is serial at any worker budget, so there is no
+// thread-count axis.
 // reproduce_all.sh snapshots these series to BENCH_planner.json so
 // scripts/compare_bench.py can flag regressions across PRs; per-step
 // plan time is 1 / items_per_sec.
 void BM_PlannerStepsPerSec(benchmark::State& state, const char* name) {
   const auto n = static_cast<std::int32_t>(state.range(0));
   const auto tokens = static_cast<std::int32_t>(state.range(1));
-  util::set_parallel_jobs(static_cast<unsigned>(state.range(2)));
   Rng rng(29);
   Digraph g = topology::random_overlay(n, rng);
   const auto inst = core::single_source_all_receivers(std::move(g), tokens, 0);
@@ -333,48 +329,27 @@ void BM_PlannerStepsPerSec(benchmark::State& state, const char* name) {
     steps += result.steps;
     benchmark::DoNotOptimize(result.bandwidth);
   }
-  util::set_parallel_jobs(0);
   state.SetItemsProcessed(steps);  // items/sec == planned steps/sec
 }
 BENCHMARK_CAPTURE(BM_PlannerStepsPerSec, global, "global")
-    ->ArgNames({"", "", "threads"})
-    ->Args({200, 128, 1})
-    ->Args({1000, 512, 1})
-    ->Args({1000, 512, 2})
-    ->Args({1000, 512, 8})
-    ->UseRealTime()
+    ->Args({200, 128})
+    ->Args({1000, 512})
     ->Unit(benchmark::kMillisecond);
 BENCHMARK_CAPTURE(BM_PlannerStepsPerSec, local, "local")
-    ->ArgNames({"", "", "threads"})
-    ->Args({200, 128, 1})
-    ->Args({1000, 512, 1})
-    ->Args({1000, 512, 2})
-    ->Args({1000, 512, 8})
-    ->UseRealTime()
+    ->Args({200, 128})
+    ->Args({1000, 512})
     ->Unit(benchmark::kMillisecond);
 BENCHMARK_CAPTURE(BM_PlannerStepsPerSec, random, "random")
-    ->ArgNames({"", "", "threads"})
-    ->Args({200, 128, 1})
-    ->Args({1000, 512, 1})
-    ->Args({1000, 512, 2})
-    ->Args({1000, 512, 8})
-    ->UseRealTime()
+    ->Args({200, 128})
+    ->Args({1000, 512})
     ->Unit(benchmark::kMillisecond);
 BENCHMARK_CAPTURE(BM_PlannerStepsPerSec, round_robin, "round-robin")
-    ->ArgNames({"", "", "threads"})
-    ->Args({200, 128, 1})
-    ->Args({1000, 512, 1})
-    ->Args({1000, 512, 2})
-    ->Args({1000, 512, 8})
-    ->UseRealTime()
+    ->Args({200, 128})
+    ->Args({1000, 512})
     ->Unit(benchmark::kMillisecond);
 BENCHMARK_CAPTURE(BM_PlannerStepsPerSec, bandwidth, "bandwidth")
-    ->ArgNames({"", "", "threads"})
-    ->Args({200, 128, 1})
-    ->Args({1000, 512, 1})
-    ->Args({1000, 512, 2})
-    ->Args({1000, 512, 8})
-    ->UseRealTime()
+    ->Args({200, 128})
+    ->Args({1000, 512})
     ->Unit(benchmark::kMillisecond);
 
 // Fault path: the same bounded-window workload with 20% uniform loss
@@ -454,8 +429,8 @@ BENCHMARK_CAPTURE(BM_ShardStep, local, "local")
 
 // Partitioner cost at both refinement tiers on the paper's structured
 // topology.  "k" (not "shards") in the arg name on purpose: the
-// undersized-host waiver keys on /shards:N and /threads:N, and the
-// partitioner is single-threaded — its numbers are valid on any host.
+// undersized-host waiver keys on /shards:N, and the partitioner is
+// single-threaded — its numbers are valid on any host.
 // items/sec == arcs scanned/sec; the cut quality each tier buys at
 // these shard counts is recorded by bench/fig_shard.
 void BM_Partition(benchmark::State& state, bool flow_refine) {
@@ -552,7 +527,7 @@ int main(int argc, char** argv) {
 #endif
   // The stock "num_cpus" context reports what the benchmark *library*
   // saw at its build/run; record what this process observes so
-  // scripts/compare_bench.py can refuse /threads:N gates against
+  // scripts/compare_bench.py can refuse /shards:N gates against
   // snapshots captured on hosts with fewer than N cores ("parity" on a
   // single-core box says nothing about contention).
   benchmark::AddCustomContext(

@@ -47,7 +47,7 @@ done
 # ThreadSanitizer pass: all intentionally concurrent code sits on the
 # ocd::util parallel runtime — the Parallel suite drives the pool
 # primitives directly, Determinism replays whole planner/fault runs
-# under OCD_JOBS in {1,2,8} (the simulator's sharded apply phase),
+# under OCD_JOBS in {1,2,8} (sim::run stays serial at every budget),
 # and SweepGrid drives run_grid, including a full (policy x seed) grid
 # of run_policy calls, so any shared mutable state in the planners
 # shows up here.  FaultSweep runs the lossy fig_loss workload shape

@@ -19,7 +19,7 @@ Snapshot hygiene: comparing against a debug-build capture is
 meaningless (debug throughput is an order of magnitude off release),
 so any input whose context reports library_build_type "debug" is
 refused unless --allow-debug is given, which downgrades the refusal to
-a loud warning.  Likewise, a /threads:N benchmark captured on a host
+a loud warning.  Likewise, a /shards:N benchmark captured on a host
 with fewer than N cores never experienced real contention — "parity"
 in such a snapshot is vacuous — so those comparisons are refused when
 either file's recorded core count (context.hardware_concurrency,
@@ -31,10 +31,9 @@ silently dropped benchmark slipping past the gate.
 --require-any PATTERN is the host-aware variant: the pattern must
 still match some common benchmark (same rename guard), but when every
 match was skipped by the undersized-host rule the gate is waived with
-a warning instead of failing — the right semantics for /shards:N and
-/threads:N families that only a big-enough host can meaningfully
-gate.  The /threads:N rule applies equally to /shards:N names: both
-encode a worker budget the capturing host must actually have.
+a warning instead of failing — the right semantics for /shards:N
+families that only a big-enough host can meaningfully gate: the shard
+count is a worker budget the capturing host must actually have.
 """
 
 from __future__ import annotations
@@ -118,13 +117,13 @@ def load_benchmarks(path: Path,
     return out, recorded_cores(data)
 
 
-THREADS_RE = re.compile(r"/(?:threads|shards):(\d+)\b")
+SHARDS_RE = re.compile(r"/shards:(\d+)\b")
 
 
 def undersized_for(name: str, cores: int | None) -> bool:
-    """True when `name` is a /threads:N (or /shards:N) benchmark and
-    the host that recorded it had fewer than N cores."""
-    match = THREADS_RE.search(name)
+    """True when `name` is a /shards:N benchmark and the host that
+    recorded it had fewer than N cores."""
+    match = SHARDS_RE.search(name)
     return (match is not None and cores is not None
             and cores < int(match.group(1)))
 
@@ -154,7 +153,7 @@ def main() -> int:
     parser.add_argument(
         "--allow-undersized-host",
         action="store_true",
-        help="downgrade the undersized-host /threads:N refusal to a "
+        help="downgrade the undersized-host /shards:N refusal to a "
         "warning and skip those comparisons",
     )
     parser.add_argument(
@@ -186,7 +185,7 @@ def main() -> int:
         sys.exit("error: required benchmark(s) absent from the comparison: "
                  + ", ".join(missing))
 
-    # A /threads:N family recorded on a host with fewer than N cores
+    # A /shards:N family recorded on a host with fewer than N cores
     # measured oversubscription, not contention — parity there proves
     # nothing about a real N-core regression.  --require patterns were
     # checked above, against the pre-skip names: the benchmarks exist in
@@ -199,7 +198,7 @@ def main() -> int:
     if undersized:
         cores = min(c for c in (base_cores, curr_cores) if c is not None)
         message = (
-            f"{len(undersized)} /threads:N benchmark(s) were captured on "
+            f"{len(undersized)} /shards:N benchmark(s) were captured on "
             f"a host recording only {cores} core(s) "
             f"(context.hardware_concurrency/num_cpus): "
             + ", ".join(undersized))

@@ -4,7 +4,7 @@
 Runs compare_bench.py against synthetic Google-Benchmark JSON pairs
 and asserts the behaviors the CI gates rely on:
 
-  1. a /threads:8 comparison against a snapshot whose recorded core
+  1. a /shards:8 comparison against a snapshot whose recorded core
      count is 1 is refused (exit != 0, error names the benchmark);
   2. --allow-undersized-host downgrades that refusal to warn-and-skip,
      the single-threaded rows still compare, and --require patterns
@@ -12,8 +12,8 @@ and asserts the behaviors the CI gates rely on:
      parity; only the vacuous comparison is dropped);
   3. rows recorded via SkipWithError (error_occurred) are excluded, so
      a --require pattern that only an errored row matches fails;
-  4. the undersized-host rule covers /shards:N names exactly like
-     /threads:N ones;
+  4. the undersized-host rule covers every /shards:N name and nothing
+     else: a serial planner row is compared on any host;
   5. --require-any fails on a genuinely absent family, is waived with
      a warning when every match was undersized-skipped, and is
      enforced (regression fails) when the matches survive.
@@ -47,8 +47,9 @@ def snapshot(cores: str, ips_scale: float) -> dict:
         "context": {"ocd_build_type": "release",
                     "hardware_concurrency": cores},
         "benchmarks": [
-            row("BM_PlannerStepsPerSec/global/threads:8", 8000.0),
+            row("BM_ShardStep/local/1000/512/shards:8", 8000.0),
             row("BM_ShardStep/round_robin/1000/512/shards:4", 4000.0),
+            row("BM_PlannerStepsPerSec/global/1000/512", 100.0),
             row("BM_TokenKernel/count_intersection_scalar/512", 1e9),
             row("BM_TokenKernel/count_intersection_avx512/512", 0.0,
                 error=True),
@@ -73,7 +74,7 @@ def main() -> int:
     with tempfile.TemporaryDirectory() as tmp:
         base = Path(tmp) / "base.json"
         curr = Path(tmp) / "curr.json"
-        # The baseline claims 8-thread parity but was recorded on one
+        # The baseline claims 8-shard parity but was recorded on one
         # core; the current run is from a real 8-core host.
         base.write_text(json.dumps(snapshot(cores="1", ips_scale=1.0)))
         curr.write_text(json.dumps(snapshot(cores="8", ips_scale=1.0)))
@@ -81,21 +82,23 @@ def main() -> int:
         proc = run(str(base), str(curr))
         check(
             proc.returncode != 0
-            and "BM_PlannerStepsPerSec/global/threads:8" in proc.stderr
+            and "BM_ShardStep/local/1000/512/shards:8" in proc.stderr
             and "1 core" in proc.stderr,
-            "undersized-host /threads:8 gate is refused", proc)
+            "undersized-host /shards:8 gate is refused", proc)
         check(
-            "BM_ShardStep/round_robin/1000/512/shards:4" in proc.stderr,
-            "undersized-host rule covers /shards:N names", proc)
+            "BM_ShardStep/round_robin/1000/512/shards:4" in proc.stderr
+            and "BM_PlannerStepsPerSec" not in proc.stderr,
+            "undersized-host rule covers /shards:N names only", proc)
 
         proc = run(str(base), str(curr), "--allow-undersized-host",
-                   "--require", r"BM_PlannerStepsPerSec/.*/threads:8",
+                   "--require", r"BM_ShardStep/.*/shards:8",
                    "--require", r"BM_TokenKernel/count_intersection_scalar")
         check(
             proc.returncode == 0
             and "--allow-undersized-host" in proc.stderr
             and "count_intersection_scalar" in proc.stdout
-            and "threads:8" not in proc.stdout.splitlines()[-1],
+            and "BM_PlannerStepsPerSec/global/1000/512" in proc.stdout
+            and "shards:8" not in proc.stdout,
             "--allow-undersized-host warns, skips, and keeps --require",
             proc)
 

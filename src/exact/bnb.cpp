@@ -61,6 +61,9 @@ class Searcher {
       in_capacity_.push_back(inst.graph().in_capacity(v));
   }
 
+  /// Searches for a schedule of length <= tau.  May be called for
+  /// several taus: the memo only records states that failed with r
+  /// steps left, which fail with r steps left under any tau.
   bool feasible(std::int32_t tau, core::Schedule* out_schedule) {
     std::vector<TokenSet> possession;
     possession.reserve(static_cast<std::size_t>(inst_.num_vertices()));
@@ -312,6 +315,12 @@ class Searcher {
   flow::MaxFlow flow_;
 };
 
+void ensure_witness(const core::Instance& inst, const core::Schedule& schedule,
+                    std::int32_t tau) {
+  OCD_ENSURES(core::is_successful(inst, schedule));
+  OCD_ENSURES(schedule.length() <= tau);
+}
+
 }  // namespace
 
 bool dfocd_feasible(const core::Instance& inst, std::int32_t tau,
@@ -322,10 +331,7 @@ bool dfocd_feasible(const core::Instance& inst, std::int32_t tau,
   BnbStats& s = stats != nullptr ? *stats : local_stats;
   Searcher searcher(inst, options, s);
   const bool ok = searcher.feasible(tau, out_schedule);
-  if (ok && out_schedule != nullptr) {
-    OCD_ENSURES(core::is_successful(inst, *out_schedule));
-    OCD_ENSURES(out_schedule->length() <= tau);
-  }
+  if (ok && out_schedule != nullptr) ensure_witness(inst, *out_schedule, tau);
   return ok;
 }
 
@@ -339,8 +345,12 @@ std::optional<BnbMakespanResult> focd_min_makespan(const core::Instance& inst,
   const auto lb = static_cast<std::int32_t>(
       std::max<std::int64_t>(1, core::makespan_lower_bound(inst)));
   BnbMakespanResult result;
+  // One Searcher for every tau: distances, flow buffers and the memo of
+  // failed states carry over from one horizon to the next.
+  Searcher searcher(inst, options, result.stats);
   for (std::int32_t tau = lb; tau <= max_tau; ++tau) {
-    if (dfocd_feasible(inst, tau, options, &result.schedule, &result.stats)) {
+    if (searcher.feasible(tau, &result.schedule)) {
+      ensure_witness(inst, result.schedule, tau);
       result.makespan = tau;
       return result;
     }

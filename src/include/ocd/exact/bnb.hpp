@@ -57,7 +57,10 @@ struct BnbMakespanResult {
 };
 
 /// FOCD: minimum makespan by iterative deepening from the combinatorial
-/// lower bound.  nullopt when unsatisfiable or `max_tau` exceeded.
+/// lower bound.  nullopt when unsatisfiable or `max_tau` exceeded.  The
+/// result (makespan and schedule) equals that of dfocd_feasible called
+/// for each tau in turn; one search state (distances, flow buffers, the
+/// memo of failed states) serves every tau.
 std::optional<BnbMakespanResult> focd_min_makespan(
     const core::Instance& instance, std::int32_t max_tau,
     const BnbOptions& options = {});

@@ -38,8 +38,8 @@ struct RunContext {
   std::string policy_name;
   sim::SimOptions sim;
   sim::KnowledgeClass knowledge = sim::KnowledgeClass::kLocalOnly;
-  /// Resolved watchdog window (-1 = off), mirroring the simulator's
-  /// auto-arming rule.
+  /// Resolved watchdog window (-1 = off), as
+  /// sim::resolve_watchdog_window gives it.
   std::int64_t watchdog_window = -1;
   /// Fault-model stepping: the forked transport replicates the model
   /// per process (each child advances its copy-on-write copy in
@@ -119,7 +119,6 @@ class ShardWorker {
 
  private:
   void deliver(VertexId to, TokenSetView tokens);
-  void validate_shard_sends(std::span<const core::ArcSend> sends);
 
   const RunContext& ctx_;
   std::int32_t shard_;

@@ -30,14 +30,9 @@
 // off, a steady-state step performs zero heap allocations (asserted by
 // tests/sim/alloc_count_test.cpp).
 //
-// Parallel apply (ISSUE 5): with OCD_JOBS > 1, steps with enough sends
-// shard the apply phase over destination vertices on the shared
-// ocd::util worker pool — fault trimming and counters stay serial in
-// plan order, each destination's sends are applied to its own
-// possession row (disjoint rows per chunk), and aggregates/touched
-// bookkeeping merges serially in destination order.  The result is
-// bit-identical to the serial apply for any OCD_JOBS (asserted by
-// tests/faults/determinism_test.cpp).
+// The apply phase is serial: sends are applied in plan order, one
+// possession row at a time, so a run's output does not depend on the
+// OCD_JOBS worker budget (asserted by tests/faults/determinism_test.cpp).
 //
 // With a FaultModel installed the apply phase becomes lossy: validated
 // sends consume capacity, but tokens the model eats never mutate
@@ -154,16 +149,6 @@ struct SimScratch {
   std::vector<char> touched_flag;
   std::vector<char> satisfied;
   std::vector<std::vector<std::int32_t>> distances;
-  // Sharded apply-phase arenas, sized only when the run may shard
-  // deliveries over destination vertices (OCD_JOBS > 1; see the apply
-  // phase in simulator.cpp).  Sends are grouped into per-destination
-  // chains so each chunk of destinations owns disjoint possession rows.
-  util::TokenMatrix apply_fresh;  ///< per-chunk fresh scratch, one row each
-  util::TokenMatrix apply_union;  ///< per-vertex union of fresh deliveries
-  std::vector<VertexId> dest_list;
-  std::vector<std::int32_t> dest_head;  ///< per-vertex first send index, -1
-  std::vector<std::int32_t> dest_tail;
-  std::vector<std::int32_t> send_next;  ///< per-send chain links
 };
 
 /// Runs policies on instances, reusing one SimScratch arena across runs
@@ -182,18 +167,31 @@ class Simulator {
 RunResult run(const core::Instance& instance, Policy& policy,
               const SimOptions& options = {});
 
+/// Throws ocd::Error naming the field unless max_steps >= 0,
+/// staleness >= 0 and no_progress_window >= -1.
+void validate_options(const SimOptions& options);
+
+/// The watchdog window a run uses: no_progress_window when it is -1
+/// (off) or positive; for 0 ("auto"), 256 when a fault model is
+/// installed and -1 otherwise.
+std::int64_t resolve_watchdog_window(const SimOptions& options);
+
 /// Validates planned sends against the start-of-step `possession` and
 /// the per-arc `effective_capacity`, throwing ocd::Error on a capacity
 /// or possession violation.  Capacity is checked on the aggregate load
 /// per arc, so multiple sends sharing an arc cannot jointly exceed
 /// c(u,v) even if each fits individually.  `arc_load` is caller-owned
 /// scratch of size num_arcs that must be all-zero on entry; it is
-/// restored to all-zero before returning or throwing.
+/// restored to all-zero before returning or throwing.  `row_map` maps a
+/// vertex id to its possession row (StepView::set_row_map's
+/// convention); empty means rows are vertex ids.  Every sender must
+/// have a row.
 void validate_sends(const core::Instance& instance,
                     std::span<const core::ArcSend> sends,
                     std::span<const std::int32_t> effective_capacity,
                     const util::TokenMatrix& possession,
                     std::span<std::int32_t> arc_load,
-                    std::string_view policy_name, std::int64_t step);
+                    std::string_view policy_name, std::int64_t step,
+                    std::span<const std::int32_t> row_map = {});
 
 }  // namespace ocd::sim

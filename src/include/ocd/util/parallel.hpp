@@ -1,10 +1,9 @@
-// Deterministic intra-run parallelism: a lazily started, process-shared
-// worker pool plus parallel_for / parallel_reduce primitives whose
-// results are bit-identical for ANY worker count.
+// Deterministic parallelism: a lazily started, process-shared worker
+// pool plus parallel_for primitives whose results are bit-identical for
+// ANY worker count.
 //
 // The determinism contract, which every user of this header relies on
-// (the planner wave scan, the simulator apply phase, the bench sweep
-// grid):
+// (the bench sweep grid, the in-process shard transport):
 //  * Chunking is FIXED: the number of chunks and their boundaries are a
 //    pure function of (range size, grain) — never of the thread count,
 //    the machine, or scheduling.  parallel_chunk_count/parallel_chunk
@@ -12,9 +11,7 @@
 //  * Each chunk writes only to storage indexed by its chunk index (or
 //    disjoint slices of shared output), so which worker executes a
 //    chunk — the only scheduling freedom — cannot change any output.
-//  * Merges are ORDERED: parallel_reduce combines per-chunk results in
-//    ascending chunk index on the calling thread.  No atomics-ordering-
-//    dependent output exists anywhere in the runtime.
+//    Any merge of per-chunk results is the caller's, in chunk order.
 //  * Exceptions propagate deterministically: every chunk always runs
 //    (no cancellation), and the pending exception of the LOWEST chunk
 //    index is rethrown on the caller once the region drains.
@@ -25,21 +22,19 @@
 // every primitive inline on the caller with no pool interaction at all:
 // the serial path is the jobs==1 special case of the same code.
 //
-// Nesting: a parallel_for issued from inside a pool worker (e.g. a
-// planner step inside a bench sweep row) runs inline and serially on
-// that worker.  Sweep-level and intra-run parallelism therefore share
-// one budget instead of multiplying, and the pool cannot deadlock on
-// itself.
+// Nesting: a parallel_for issued from inside a pool worker (e.g. an
+// in-process sharded run inside a bench sweep row) runs inline and
+// serially on that worker.  Sweep-level and intra-run parallelism
+// therefore share one budget instead of multiplying, and the pool
+// cannot deadlock on itself.
 //
 // Allocation: publishing a region allocates nothing — the callable is
 // type-erased through a stack-held context pointer, completion is a
 // mutex/condvar handshake, and per-chunk bookkeeping lives in fixed
 // pool storage.  Worker threads are spawned lazily on first use (and
-// grown on demand); steady-state parallel steps are heap-free, which
-// tests/sim/alloc_count_test.cpp asserts.
+// grown on demand); after that, a region touches no heap.
 #pragma once
 
-#include <array>
 #include <cstddef>
 #include <utility>
 
@@ -75,11 +70,6 @@ void set_parallel_jobs(unsigned jobs);
 
 /// True on a pool worker thread (where parallel primitives run inline).
 bool on_parallel_worker();
-
-/// True when a parallel_for issued here would actually fan out.
-inline bool parallel_active() {
-  return !on_parallel_worker() && parallel_jobs() > 1;
-}
 
 /// Number of chunks [0, kMaxParallelChunks] a range of `n` items splits
 /// into with at least `grain` items per chunk.  Pure function of its
@@ -142,25 +132,6 @@ void parallel_for_capped(std::size_t n, std::size_t grain, unsigned workers,
 template <typename Fn>
 void parallel_for(std::size_t n, std::size_t grain, Fn&& fn) {
   parallel_for_capped(n, grain, parallel_jobs(), std::forward<Fn>(fn));
-}
-
-/// Chunked reduction: map(ChunkRange) -> T per chunk (in parallel),
-/// then merge(acc, chunk_result) folded in ascending chunk order on the
-/// calling thread — an ordered merge, so the result is bit-identical
-/// for any worker count even when merge is not associative.  T must be
-/// default-constructible (per-chunk slots live in a fixed array).
-template <typename T, typename Map, typename Merge>
-T parallel_reduce(std::size_t n, std::size_t grain, T init, Map map,
-                  Merge merge) {
-  const std::size_t chunks = parallel_chunk_count(n, grain);
-  if (chunks == 0) return init;
-  std::array<T, kMaxParallelChunks> slots{};
-  parallel_for(n, grain,
-               [&](ChunkRange chunk) { slots[chunk.index] = map(chunk); });
-  T acc = std::move(init);
-  for (std::size_t i = 0; i < chunks; ++i)
-    acc = merge(std::move(acc), std::move(slots[i]));
-  return acc;
 }
 
 }  // namespace ocd::util

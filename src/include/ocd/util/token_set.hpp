@@ -340,8 +340,9 @@ class MutableTokenSetView : public TokenSetView {
   }
 
   /// apply_fresh_union that additionally folds the fresh set into an
-  /// accumulator: uni |= fresh.  The sharded apply phase keeps the
-  /// union of a destination's fresh deliveries for the serial merge.
+  /// accumulator: uni |= fresh.  ShardWorker::deliver keeps the union
+  /// of an owned vertex's fresh deliveries for its ghost updates and
+  /// aggregate deltas.
   static std::size_t apply_fresh_union_merge(MutableTokenSetView dst,
                                              MutableTokenSetView uni,
                                              TokenSetView src,

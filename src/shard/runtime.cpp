@@ -4,7 +4,6 @@
 #include <bit>
 #include <cstdlib>
 #include <limits>
-#include <sstream>
 #include <string>
 
 #include "ocd/faults/model.hpp"
@@ -18,8 +17,6 @@
 namespace ocd::shard {
 
 namespace {
-
-constexpr std::int64_t kDefaultNoProgressWindow = 256;  // simulator.cpp
 
 /// Planners the barrier protocol reproduces bit-identically.  Everything
 /// else (the kGlobal planners, adapter-wrapped policies) is refused up
@@ -35,14 +32,7 @@ bool supported_policy(std::string_view name) {
 
 void validate_envelope(std::string_view policy_name,
                        const sim::SimOptions& options) {
-  if (options.max_steps < 0)
-    throw Error("SimOptions.max_steps must be >= 0, got " +
-                std::to_string(options.max_steps));
-  if (options.no_progress_window < -1)
-    throw Error(
-        "SimOptions.no_progress_window must be -1 (off), 0 (auto) or "
-        "positive, got " +
-        std::to_string(options.no_progress_window));
+  sim::validate_options(options);
   if (!supported_policy(policy_name))
     throw Error("sharded runtime supports policies round-robin, random "
                 "and local; got '" +
@@ -192,35 +182,6 @@ void ShardWorker::absorb_init(const std::vector<std::string>& in) {
   running_ = step_ < ctx_.sim.max_steps && unsatisfied_ > 0;
 }
 
-// Local reimplementation of sim::validate_sends: identical checks and
-// error text, but possession rows are addressed through the row map
-// (the sender of a "local"-policy send may be a ghost of this shard).
-void ShardWorker::validate_shard_sends(std::span<const core::ArcSend> sends) {
-  const Digraph& graph = ctx_.instance->graph();
-  const auto fail = [&](const Arc& arc, const char* what) {
-    for (const core::ArcSend& send : sends)
-      arc_load_[static_cast<std::size_t>(send.arc)] = 0;
-    std::ostringstream msg;
-    msg << "policy '" << policy_->name() << "' " << what << " on arc ("
-        << arc.from << "," << arc.to << ") at step " << step_;
-    throw Error(msg.str());
-  };
-  for (const core::ArcSend& send : sends) {
-    const Arc& arc = graph.arc(send.arc);
-    const auto index = static_cast<std::size_t>(send.arc);
-    arc_load_[index] += static_cast<std::int32_t>(send.tokens.count());
-    if (arc_load_[index] > ctx_.static_capacity[index])
-      fail(arc, "exceeded capacity");
-    const auto from_row = row_map_[static_cast<std::size_t>(arc.from)];
-    OCD_ASSERT(from_row >= 0);
-    if (!send.tokens.is_subset_of(
-            possession_.row(static_cast<std::size_t>(from_row))))
-      fail(arc, "sent unpossessed tokens");
-  }
-  for (const core::ArcSend& send : sends)
-    arc_load_[static_cast<std::size_t>(send.arc)] = 0;
-}
-
 void ShardWorker::phase_plan(std::vector<std::string>& out,
                              const std::string* replay_losses) {
   OCD_ASSERT(running_);
@@ -245,7 +206,8 @@ void ShardWorker::phase_plan(std::vector<std::string>& out,
   // Shard-local rows behind the row map, independent per-vertex planning.
   view.set_row_map(row_map_);
   policy_->plan_shard(view, plan_, owned_);
-  validate_shard_sends(plan_.sends());
+  sim::validate_sends(inst, plan_.sends(), capacity, possession_, arc_load_,
+                      policy_->name(), step_, row_map_);
 
   // Wire counters and channel loss, then route surviving deliveries to
   // the destination vertex's owning shard.  Loss decisions are derived
@@ -867,10 +829,7 @@ sim::RunResult run_sharded(const core::Instance& instance,
   ctx.policy_name = std::string(policy_name);
   ctx.sim = options.sim;
   ctx.knowledge = heuristics::make_policy(policy_name)->knowledge_class();
-  ctx.watchdog_window = options.sim.no_progress_window;
-  if (ctx.watchdog_window == 0)
-    ctx.watchdog_window =
-        options.sim.faults != nullptr ? kDefaultNoProgressWindow : -1;
+  ctx.watchdog_window = sim::resolve_watchdog_window(options.sim);
   ctx.worker_advances_faults = options.transport == TransportKind::kForked;
   if (options.barrier_timeout_ms <= 0)
     throw Error("ShardOptions.barrier_timeout_ms must be positive, got " +

@@ -6,7 +6,6 @@
 #include "ocd/dynamics/model.hpp"
 #include "ocd/faults/model.hpp"
 #include "ocd/graph/algorithms.hpp"
-#include "ocd/util/parallel.hpp"
 #include "ocd/util/stopwatch.hpp"
 
 namespace ocd::sim {
@@ -37,20 +36,15 @@ constexpr std::int64_t kDefaultNoProgressWindow = 256;
 /// max_steps of a million does not pin megabytes per run.
 constexpr std::int64_t kStatsReserveCap = 65536;
 
-/// Shard the apply phase only for steps with at least this many sends;
-/// below it the pool wake-up costs more than the deliveries.  A pure
-/// perf knob — the sharded and serial apply produce identical state.
-constexpr std::size_t kParallelApplyMinSends = 64;
+/// Per-vertex satisfaction: the instance's want-subset rule, or the
+/// caller's completion override (coding thresholds etc).
+bool vertex_satisfied(const core::Instance& inst, const SimOptions& options,
+                      VertexId v, TokenSetView possession) {
+  if (options.completion) return options.completion(v, possession);
+  return inst.want(v).is_subset_of(possession);
+}
 
-/// Items per chunk when sharding destinations across workers.
-constexpr std::size_t kDestGrain = 8;
-
-/// Per-chunk totals of the sharded apply phase.  Merged in ascending
-/// chunk order; integer sums, so the totals equal the serial ones.
-struct ApplyTotals {
-  std::int64_t useful = 0;
-  std::int64_t delivered = 0;
-};
+}  // namespace
 
 void validate_options(const SimOptions& options) {
   if (options.max_steps < 0) {
@@ -69,22 +63,18 @@ void validate_options(const SimOptions& options) {
   }
 }
 
-/// Per-vertex satisfaction: the instance's want-subset rule, or the
-/// caller's completion override (coding thresholds etc).
-bool vertex_satisfied(const core::Instance& inst, const SimOptions& options,
-                      VertexId v, TokenSetView possession) {
-  if (options.completion) return options.completion(v, possession);
-  return inst.want(v).is_subset_of(possession);
+std::int64_t resolve_watchdog_window(const SimOptions& options) {
+  if (options.no_progress_window != 0) return options.no_progress_window;
+  return options.faults != nullptr ? kDefaultNoProgressWindow : -1;
 }
-
-}  // namespace
 
 void validate_sends(const core::Instance& inst,
                     std::span<const core::ArcSend> sends,
                     std::span<const std::int32_t> effective_capacity,
                     const util::TokenMatrix& possession,
                     std::span<std::int32_t> arc_load,
-                    std::string_view policy_name, std::int64_t step) {
+                    std::string_view policy_name, std::int64_t step,
+                    std::span<const std::int32_t> row_map) {
   OCD_EXPECTS(arc_load.size() == effective_capacity.size());
   const auto fail = [&](const Arc& arc, const char* what) {
     for (const core::ArcSend& send : sends)
@@ -100,8 +90,13 @@ void validate_sends(const core::Instance& inst,
     arc_load[index] += static_cast<std::int32_t>(send.tokens.count());
     if (arc_load[index] > effective_capacity[index])
       fail(arc, "exceeded capacity");
+    std::int32_t from_row = arc.from;
+    if (!row_map.empty()) {
+      from_row = row_map[static_cast<std::size_t>(arc.from)];
+      OCD_ASSERT(from_row >= 0);
+    }
     if (!send.tokens.is_subset_of(
-            possession.row(static_cast<std::size_t>(arc.from))))
+            possession.row(static_cast<std::size_t>(from_row))))
       fail(arc, "sent unpossessed tokens");
   }
   for (const core::ArcSend& send : sends)
@@ -155,11 +150,7 @@ RunResult Simulator::run(const core::Instance& inst, Policy& policy,
   const bool faulted = options.faults != nullptr;
   if (faulted) options.faults->reset(inst, options.seed);
 
-  // Watchdog: 0 = auto (armed with the default window iff faults are
-  // active), -1 = off, positive = armed with that window.
-  std::int64_t watchdog_window = options.no_progress_window;
-  if (watchdog_window == 0)
-    watchdog_window = faulted ? kDefaultNoProgressWindow : -1;
+  const std::int64_t watchdog_window = resolve_watchdog_window(options);
 
   SnapshotBuffer snapshots(options.staleness);
   if (options.staleness == 0 && !options.stale_aggregates)
@@ -192,21 +183,6 @@ RunResult Simulator::run(const core::Instance& inst, Policy& policy,
   scratch_.touched_flag.assign(n, 0);
   TokenSet& fresh = scratch_.fresh;
   TokenSet& lost = scratch_.lost;
-
-  // Sharded apply (ISSUE 5): when the worker budget allows it, big
-  // steps group their sends into per-destination chains and apply them
-  // to disjoint possession rows in parallel.  Arenas are sized up front
-  // so steady-state steps stay allocation-free.
-  const bool sharded_apply = util::parallel_active();
-  if (sharded_apply) {
-    scratch_.apply_fresh.reset(util::kMaxParallelChunks, m);
-    scratch_.apply_union.reset(n, m);
-    scratch_.dest_head.assign(n, -1);
-    scratch_.dest_tail.assign(n, -1);
-    scratch_.send_next.assign(num_arcs, -1);
-    scratch_.dest_list.clear();
-    scratch_.dest_list.reserve(n);
-  }
 
   std::int64_t step = 0;
   std::int64_t no_progress = 0;
@@ -253,136 +229,40 @@ RunResult Simulator::run(const core::Instance& inst, Policy& policy,
     std::int64_t step_moves = 0;
     std::int64_t step_lost = 0;
     std::int64_t step_useful = 0;
-    const std::span<core::ArcSend> sends = plan.sends();
-    if (!sharded_apply || sends.size() < kParallelApplyMinSends) {
-      for (core::ArcSend& send : sends) {
-        const Arc& arc = inst.graph().arc(send.arc);
-        const auto count = static_cast<std::int64_t>(send.tokens.count());
-        step_moves += count;
-        result.stats.sent_by_vertex[static_cast<std::size_t>(arc.from)] +=
-            count;
-        if (faulted) {
-          lost.clear();
-          options.faults->lost(step, send.arc, send.tokens, lost);
-          lost &= send.tokens;  // a model may only lose what was sent
-          const auto lost_count = static_cast<std::int64_t>(lost.count());
-          if (lost_count > 0) {
-            step_lost += lost_count;
-            // The recorded schedule keeps deliveries only, so it stays a
-            // valid loss-free schedule reaching the same final state.
-            send.tokens -= lost;
-          }
-        }
-        const auto delivered = static_cast<std::int64_t>(send.tokens.count());
-        const auto to = static_cast<std::size_t>(arc.to);
-        // Fused kernel: fresh = send - possession, possession |= send,
-        // in one pass (a no-op on possession when nothing is fresh).
-        const auto fresh_count =
-            static_cast<std::int64_t>(MutableTokenSetView::apply_fresh_union(
-                possession.row(to), send.tokens, fresh));
-        result.stats.useful_moves += fresh_count;
-        result.stats.redundant_moves += delivered - fresh_count;
-        step_useful += fresh_count;
-        if (fresh_count == 0) continue;
-        if (needs_aggregates && !options.stale_aggregates)
-          aggregates.apply_delivery(fresh, inst.want(arc.to));
-        if (!scratch_.touched_flag[to]) {
-          scratch_.touched_flag[to] = 1;
-          scratch_.touched.push_back(arc.to);
+    for (core::ArcSend& send : plan.sends()) {
+      const Arc& arc = inst.graph().arc(send.arc);
+      const auto count = static_cast<std::int64_t>(send.tokens.count());
+      step_moves += count;
+      result.stats.sent_by_vertex[static_cast<std::size_t>(arc.from)] +=
+          count;
+      if (faulted) {
+        lost.clear();
+        options.faults->lost(step, send.arc, send.tokens, lost);
+        lost &= send.tokens;  // a model may only lose what was sent
+        const auto lost_count = static_cast<std::int64_t>(lost.count());
+        if (lost_count > 0) {
+          step_lost += lost_count;
+          // The recorded schedule keeps deliveries only, so it stays a
+          // valid loss-free schedule reaching the same final state.
+          send.tokens -= lost;
         }
       }
-    } else {
-      // Sharded apply, three phases, bit-identical to the loop above.
-      //
-      // 1. Serial pre-phase in plan order: wire counters and channel
-      // loss (the fault model is stateful — querying it in plan order
-      // keeps the loss trace a function of (seed, step) alone), plus
-      // per-destination send chains.
-      scratch_.dest_list.clear();
-      for (std::size_t s = 0; s < sends.size(); ++s) {
-        core::ArcSend& send = sends[s];
-        const Arc& arc = inst.graph().arc(send.arc);
-        const auto count = static_cast<std::int64_t>(send.tokens.count());
-        step_moves += count;
-        result.stats.sent_by_vertex[static_cast<std::size_t>(arc.from)] +=
-            count;
-        if (faulted) {
-          lost.clear();
-          options.faults->lost(step, send.arc, send.tokens, lost);
-          lost &= send.tokens;
-          const auto lost_count = static_cast<std::int64_t>(lost.count());
-          if (lost_count > 0) {
-            step_lost += lost_count;
-            send.tokens -= lost;
-          }
-        }
-        const auto to = static_cast<std::size_t>(arc.to);
-        scratch_.send_next[s] = -1;
-        if (scratch_.dest_head[to] < 0) {
-          scratch_.dest_head[to] = static_cast<std::int32_t>(s);
-          scratch_.dest_list.push_back(arc.to);
-        } else {
-          scratch_.send_next[static_cast<std::size_t>(scratch_.dest_tail[to])] =
-              static_cast<std::int32_t>(s);
-        }
-        scratch_.dest_tail[to] = static_cast<std::int32_t>(s);
-      }
-
-      // 2. Parallel per-destination phase: each destination's sends are
-      // applied in plan order against its own possession row, exactly
-      // like the serial loop (a send's fresh set depends only on the
-      // row of its destination, which this chunk owns exclusively).
-      // The union of a destination's fresh sets is kept for phase 3.
-      // Counter totals are integer sums merged in chunk order.
-      const ApplyTotals totals = util::parallel_reduce(
-          scratch_.dest_list.size(), kDestGrain, ApplyTotals{},
-          [&](util::ChunkRange c) {
-            ApplyTotals t;
-            const MutableTokenSetView chunk_fresh =
-                scratch_.apply_fresh.row(c.index);
-            for (std::size_t p = c.begin; p < c.end; ++p) {
-              const auto to =
-                  static_cast<std::size_t>(scratch_.dest_list[p]);
-              const MutableTokenSetView poss = possession.row(to);
-              const MutableTokenSetView uni = scratch_.apply_union.row(to);
-              uni.clear();
-              for (std::int32_t s = scratch_.dest_head[to]; s >= 0;
-                   s = scratch_.send_next[static_cast<std::size_t>(s)]) {
-                const core::ArcSend& send = sends[static_cast<std::size_t>(s)];
-                t.delivered += static_cast<std::int64_t>(send.tokens.count());
-                // Fused kernel: fresh = send - poss, poss |= send,
-                // uni |= fresh, one pass (no-ops when nothing is fresh).
-                t.useful += static_cast<std::int64_t>(
-                    MutableTokenSetView::apply_fresh_union_merge(
-                        poss, uni, send.tokens, chunk_fresh));
-              }
-            }
-            return t;
-          },
-          [](ApplyTotals acc, ApplyTotals t) {
-            acc.useful += t.useful;
-            acc.delivered += t.delivered;
-            return acc;
-          });
-      result.stats.useful_moves += totals.useful;
-      result.stats.redundant_moves += totals.delivered - totals.useful;
-      step_useful = totals.useful;
-
-      // 3. Serial merge in destination order: aggregates (applying the
-      // union once equals applying each disjoint fresh set — both are
-      // per-token counter sums), touched bookkeeping, chain reset.
-      for (const VertexId v : scratch_.dest_list) {
-        const auto to = static_cast<std::size_t>(v);
-        scratch_.dest_head[to] = -1;
-        scratch_.dest_tail[to] = -1;
-        const TokenSetView uni = scratch_.apply_union.row(to);
-        if (uni.empty()) continue;
-        if (needs_aggregates && !options.stale_aggregates)
-          aggregates.apply_delivery(uni, inst.want(v));
-        if (!scratch_.touched_flag[to]) {
-          scratch_.touched_flag[to] = 1;
-          scratch_.touched.push_back(v);
-        }
+      const auto delivered = static_cast<std::int64_t>(send.tokens.count());
+      const auto to = static_cast<std::size_t>(arc.to);
+      // Fused kernel: fresh = send - possession, possession |= send,
+      // in one pass (a no-op on possession when nothing is fresh).
+      const auto fresh_count =
+          static_cast<std::int64_t>(MutableTokenSetView::apply_fresh_union(
+              possession.row(to), send.tokens, fresh));
+      result.stats.useful_moves += fresh_count;
+      result.stats.redundant_moves += delivered - fresh_count;
+      step_useful += fresh_count;
+      if (fresh_count == 0) continue;
+      if (needs_aggregates && !options.stale_aggregates)
+        aggregates.apply_delivery(fresh, inst.want(arc.to));
+      if (!scratch_.touched_flag[to]) {
+        scratch_.touched_flag[to] = 1;
+        scratch_.touched.push_back(arc.to);
       }
     }
     result.stats.moves_per_step.push_back(step_moves);

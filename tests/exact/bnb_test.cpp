@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <optional>
+
+#include "ocd/core/bounds.hpp"
 #include "ocd/core/scenario.hpp"
 #include "ocd/core/validate.hpp"
 #include "ocd/exact/ip_solver.hpp"
@@ -107,6 +111,50 @@ TEST(Bnb, StatsArePopulated) {
   ASSERT_TRUE(dfocd_feasible(inst, 2, {}, &witness, &stats));
   EXPECT_GT(stats.nodes, 0);
   EXPECT_GT(stats.flow_checks, 0);
+}
+
+// focd_min_makespan keeps one search state across its tau sweep; the
+// result must be the one per-tau searches from scratch give, and the
+// carried-over memo may only save nodes.
+TEST(Bnb, SharedSearcherMatchesPerTauSearches) {
+  constexpr std::int32_t kMaxTau = 10;
+  for (std::uint64_t seed = 0; seed < 200; ++seed) {
+    SCOPED_TRACE(seed);
+    Rng rng(seed);
+    const core::Instance inst = core::random_small_instance(5, 2, 0.5, rng);
+    const auto swept = focd_min_makespan(inst, kMaxTau);
+
+    std::optional<std::int32_t> makespan;
+    core::Schedule schedule;
+    BnbStats fresh_stats;
+    if (inst.is_trivially_satisfied()) {
+      makespan = 0;
+    } else if (inst.is_satisfiable()) {
+      const auto lb = static_cast<std::int32_t>(
+          std::max<std::int64_t>(1, core::makespan_lower_bound(inst)));
+      for (std::int32_t tau = lb; tau <= kMaxTau && !makespan; ++tau)
+        if (dfocd_feasible(inst, tau, {}, &schedule, &fresh_stats))
+          makespan = tau;
+    }
+
+    ASSERT_EQ(swept.has_value(), makespan.has_value());
+    if (!makespan) continue;
+    EXPECT_EQ(swept->makespan, *makespan);
+    const auto& got = swept->schedule.steps();
+    const auto& want = schedule.steps();
+    ASSERT_EQ(got.size(), want.size());
+    for (std::size_t i = 0; i < got.size(); ++i) {
+      const auto& a = got[i].sends();
+      const auto& b = want[i].sends();
+      ASSERT_EQ(a.size(), b.size()) << "step " << i;
+      for (std::size_t j = 0; j < a.size(); ++j) {
+        EXPECT_EQ(a[j].arc, b[j].arc) << "step " << i;
+        EXPECT_EQ(a[j].tokens, b[j].tokens) << "step " << i;
+      }
+    }
+    EXPECT_LE(swept->stats.nodes, fresh_stats.nodes);
+    EXPECT_LE(swept->stats.flow_checks, fresh_stats.flow_checks);
+  }
 }
 
 // ----------------------------------------------------------------------

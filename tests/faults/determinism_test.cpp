@@ -198,8 +198,8 @@ void expect_schedules_identical(const core::Schedule& a,
   }
 }
 
-/// Large enough that the sharded planner wave scan (>= 256 awake arcs)
-/// and the sharded apply phase (>= 64 sends) actually engage at 8 jobs.
+/// Large enough (>= 64 sends per step) that a parallel apply phase, if
+/// one came back into sim::run, would engage at 8 jobs.
 core::Instance parallel_scale_instance(std::uint64_t seed) {
   Rng rng(seed);
   Digraph g = topology::random_overlay(80, rng);

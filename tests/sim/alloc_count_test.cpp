@@ -122,12 +122,9 @@ TEST(AllocCount, SteadyStateStepsAreAllocationFree) {
   }
 }
 
-// ISSUE 5: the sharded planner/apply paths must hold the same bar.
-// With a worker budget of 4, the 64v x 256t instance (~500 arcs)
-// engages both the wave prescore and the sharded apply; the warm run
-// spawns the pool threads and sizes the per-chunk arenas, after which
-// parallel steady-state steps must not touch the heap (region publish
-// is a type-erased pointer handshake, reduce slots live on the stack).
+// The same bar with a worker budget of 4: sim::run must not start
+// allocating when OCD_JOBS > 1 (the apply phase is serial at any
+// budget, so no pool region or per-chunk arena may appear).
 TEST(AllocCount, ParallelSteadyStateStepsAreAllocationFree) {
   util::set_parallel_jobs(4);
   const core::Instance inst = slow_fig2_instance();

@@ -238,6 +238,40 @@ TEST(Simulator, CapacityIsAggregatedPerArc) {
                               arc_load, "ghost", 0),
                Error);
   EXPECT_EQ(arc_load[0], 0);
+
+  // Row-mapped possession (the shard worker's layout): vertex 0 lives in
+  // row 1 and vertex 1 in row 0.  Read as vertex ids, the rows would
+  // leave vertex 0 empty-handed; through the map the same sends pass or
+  // fail exactly as above, with the same messages.
+  const auto message = [&](std::span<const core::ArcSend> sends,
+                           const util::TokenMatrix& rows,
+                           std::string_view policy,
+                           std::span<const std::int32_t> row_map) {
+    try {
+      validate_sends(inst, sends, capacity, rows, arc_load, policy, 3,
+                     row_map);
+    } catch (const Error& e) {
+      return std::string(e.what());
+    }
+    return std::string();
+  };
+  util::TokenMatrix swapped;
+  swapped.reset(2, 4);
+  swapped.assign_row(0, inst.have(1));
+  swapped.assign_row(1, inst.have(0));
+  const std::vector<std::int32_t> swap_rows{1, 0};
+  EXPECT_EQ(message(fits.sends(), swapped, "split", swap_rows), "");
+  EXPECT_EQ(message(fits.sends(), swapped, "split", {}),
+            "policy 'split' sent unpossessed tokens on arc (0,1) at step 3");
+  EXPECT_EQ(message(split.sends(), swapped, "split", swap_rows),
+            "policy 'split' exceeded capacity on arc (0,1) at step 3");
+  EXPECT_EQ(message(split.sends(), swapped, "split", swap_rows),
+            message(split.sends(), possession, "split", {}));
+  EXPECT_EQ(message(ghost.sends(), empty_handed, "ghost", swap_rows),
+            "policy 'ghost' sent unpossessed tokens on arc (0,1) at step 3");
+  EXPECT_EQ(message(ghost.sends(), empty_handed, "ghost", swap_rows),
+            message(ghost.sends(), empty_handed, "ghost", {}));
+  EXPECT_EQ(arc_load[0], 0);
 }
 
 TEST(Simulator, MovesPerStepMatchesStepsOnEveryExitPath) {

@@ -162,52 +162,6 @@ TEST(ParallelFor, NestedCallsRunInlineWithoutDeadlock) {
   for (const std::size_t t : totals) EXPECT_EQ(t, 4950u);
 }
 
-TEST(ParallelReduce, EmptyRangeReturnsInit) {
-  const JobsOverride jobs(8);
-  const int result = parallel_reduce(
-      0, 1, 42, [](ChunkRange) { return 7; },
-      [](int a, int b) { return a + b; });
-  EXPECT_EQ(result, 42);
-}
-
-// The determinism contract's sharpest corner: merges happen in chunk
-// order on the caller, so even a NON-commutative merge must give the
-// same answer for every budget.
-TEST(ParallelReduce, OrderedMergeIsBudgetInvariant) {
-  const auto digits = [](unsigned budget) {
-    const JobsOverride jobs(budget);
-    return parallel_reduce(
-        300, 5, std::string(),
-        [](ChunkRange c) {
-          return std::to_string(c.index) + "[" +
-                 std::to_string(c.end - c.begin) + "]";
-        },
-        [](std::string acc, std::string chunk) { return acc + chunk; });
-  };
-  const std::string serial = digits(1);
-  EXPECT_EQ(digits(2), serial);
-  EXPECT_EQ(digits(8), serial);
-  EXPECT_EQ(digits(64), serial);
-}
-
-TEST(ParallelReduce, SumsMatchSerial) {
-  std::vector<std::int64_t> values(10'000);
-  std::iota(values.begin(), values.end(), 1);
-  const std::int64_t expected = 10'000LL * 10'001 / 2;
-  for (const unsigned budget : {1u, 2u, 8u}) {
-    const JobsOverride jobs(budget);
-    const std::int64_t total = parallel_reduce(
-        values.size(), 128, std::int64_t{0},
-        [&](ChunkRange c) {
-          std::int64_t s = 0;
-          for (std::size_t i = c.begin; i < c.end; ++i) s += values[i];
-          return s;
-        },
-        [](std::int64_t a, std::int64_t b) { return a + b; });
-    EXPECT_EQ(total, expected) << "budget=" << budget;
-  }
-}
-
 TEST(ParallelJobs, ParseRejectsGarbage) {
   EXPECT_THROW(parse_jobs_value(nullptr), Error);
   EXPECT_THROW(parse_jobs_value(""), Error);
