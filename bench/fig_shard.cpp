@@ -81,24 +81,30 @@ int main(int argc, char** argv) {
               << " per (shard, step, phase); checkpoints every 3 steps\n";
   }
 
-  Table table({"transport", "policy", "part", "shards", "cut_arcs",
+  Table table({"transport", "policy", "part", "eps", "shards", "cut_arcs",
                "cut_pct", "imb_pct", "ghosts", "success", "steps",
                "bandwidth", "kb_per_step", "crashes", "replayed",
                "ckpt_b", "part_ms", "run_s"});
   table.set_precision(3);
 
   // Partition variants per shard count: the default greedy partition at
-  // every count, plus the flow-refined eps=5 partition at the largest —
-  // the greedy-vs-flow comparison rows.  The flow rows join the same
-  // bit-identity check: a partition may only move ownership, never the
-  // schedule.
+  // every count, plus two eps=5 partitions at the largest — greedy alone
+  // and greedy + flow — so the relaxed band's effect on the cut and the
+  // flow stage's effect are reported separately.  Every row joins the
+  // same bit-identity check: a partition may only move ownership, never
+  // the schedule.
   struct PartitionCase {
     std::int32_t shards;
+    std::int32_t eps;
     bool flow;
   };
-  const std::vector<PartitionCase> partition_cases = {
-      {1, false}, {2, false}, {4, false}, {4, true}};
   constexpr std::int32_t kFlowEps = 5;
+  const std::vector<PartitionCase> partition_cases = {
+      {1, 0, false},
+      {2, 0, false},
+      {4, 0, false},
+      {4, kFlowEps, false},
+      {4, kFlowEps, true}};
   // The head-to-head section runs at a wider slack: transit-stub
   // separators sit off-center, so the band needs room before the min
   // cut's reassignment is adoptable at every shard count.
@@ -113,7 +119,7 @@ int main(int argc, char** argv) {
         const std::int32_t shards = pc.shards;
         shard::PartitionOptions part_options;
         part_options.num_shards = shards;
-        part_options.balance_eps = pc.flow ? kFlowEps : 0;
+        part_options.balance_eps = pc.eps;
         part_options.flow_refine = pc.flow;
         Stopwatch part_timer;
         const shard::Partition part =
@@ -157,7 +163,8 @@ int main(int argc, char** argv) {
                          static_cast<double>(n) -
                      1.0);
         table.add_row({std::string(transport.name), std::string(policy),
-                       std::string(pc.flow ? "flow" : "greedy"), shards,
+                       std::string(pc.flow ? "flow" : "greedy"), pc.eps,
+                       shards,
                        part.stats.cut_arcs,
                        100.0 * part.stats.cut_fraction(), imb_pct,
                        part.stats.total_ghosts,

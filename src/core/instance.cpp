@@ -60,7 +60,7 @@ void Instance::set_want(VertexId v, TokenSet tokens) {
 
 std::int32_t Instance::add_file(TokenId first, std::int32_t size) {
   OCD_EXPECTS(first >= 0 && size >= 1);
-  OCD_EXPECTS(first + size <= num_tokens_);
+  OCD_EXPECTS(size <= num_tokens_ - first);  // first + size may overflow
   files_.push_back(File{first, size});
   return static_cast<std::int32_t>(files_.size()) - 1;
 }
@@ -138,7 +138,7 @@ void Instance::validate() const {
   }
   for (const File& f : files_) {
     OCD_ASSERT(f.first >= 0 && f.size >= 1 &&
-               f.first + f.size <= num_tokens_);
+               f.size <= num_tokens_ - f.first);
   }
 }
 

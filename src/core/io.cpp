@@ -15,6 +15,14 @@ namespace {
   throw Error(out.str());
 }
 
+/// Rejects whatever a record line's fields left unread, so a malformed
+/// number ("1x", "5.0") or a trailing word fails instead of being
+/// silently cut off.
+void require_consumed(std::istringstream& fields, std::int64_t line) {
+  fields >> std::ws;
+  if (!fields.eof()) parse_error(line, "unexpected trailing input");
+}
+
 }  // namespace
 
 void save_instance(const Instance& inst, std::ostream& out) {
@@ -76,6 +84,7 @@ Instance load_instance(std::istream& in) {
     if (!(fields >> kw_vertices >> n >> kw_tokens >> m) ||
         kw_vertices != "vertices" || kw_tokens != "tokens" || n < 0 || m < 0)
       parse_error(line_no, "expected 'vertices <n> tokens <m>'");
+    require_consumed(fields, line_no);
   }
 
   Digraph graph(n);
@@ -93,6 +102,7 @@ Instance load_instance(std::istream& in) {
     std::string keyword;
     fields >> keyword;
     if (keyword == "end") {
+      require_consumed(fields, line_no);
       saw_end = true;
       break;
     }
@@ -102,6 +112,7 @@ Instance load_instance(std::istream& in) {
       std::int32_t capacity = 0;
       if (!(fields >> from >> to >> capacity))
         parse_error(line_no, "expected 'arc <from> <to> <capacity>'");
+      require_consumed(fields, line_no);
       if (from < 0 || from >= n || to < 0 || to >= n || from == to ||
           capacity < 1)
         parse_error(line_no, "arc endpoints/capacity out of range");
@@ -120,12 +131,15 @@ Instance load_instance(std::istream& in) {
           parse_error(line_no, "token id out of range");
         entry.tokens.push_back(token);
       }
+      if (!fields.eof()) parse_error(line_no, "malformed token id");
       token_lines.push_back(std::move(entry));
     } else if (keyword == "file") {
       File file;
       if (!(fields >> file.first >> file.size))
         parse_error(line_no, "expected 'file <first> <size>'");
-      if (file.first < 0 || file.size < 1 || file.first + file.size > m)
+      require_consumed(fields, line_no);
+      // size > m - first, not first + size > m: the sum overflows int32.
+      if (file.first < 0 || file.size < 1 || file.size > m - file.first)
         parse_error(line_no, "file range out of bounds");
       files.push_back(file);
     } else {

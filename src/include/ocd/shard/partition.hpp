@@ -5,8 +5,9 @@
 // greedily refined to shrink the edge cut) and additionally *ghosts* the
 // vertices it can see but does not own: every non-owned endpoint of an
 // arc incident to an owned vertex.  Ghosts are the read-only possession
-// replicas the barrier protocol keeps fresh between steps, and the cut
-// arc table is exactly the traffic that must cross shard boundaries.
+// replicas the barrier protocol keeps fresh between steps; the arcs
+// that cross shards (counted in PartitionStats::cut_arcs) carry all of
+// the barrier's delivery traffic.
 //
 // The partitioner is deterministic and seedless: the same (graph,
 // options) always yields the same Partition, on every shard of every
@@ -36,17 +37,9 @@
 #include <cstdint>
 #include <vector>
 
-#include "ocd/core/instance.hpp"
 #include "ocd/graph/digraph.hpp"
 
 namespace ocd::shard {
-
-/// One arc whose endpoints live on different shards.
-struct CutArc {
-  ArcId arc = -1;
-  std::int32_t from_shard = -1;
-  std::int32_t to_shard = -1;
-};
 
 /// Edge-cut quality report, printed by bench/fig_shard and asserted
 /// loosely by tests (a partitioner regression shows up as a cut blowup).
@@ -75,8 +68,6 @@ struct Partition {
   /// Ghost vertices per shard (non-owned endpoints of arcs incident to
   /// owned vertices, either direction), ascending.
   std::vector<std::vector<VertexId>> ghosts;
-  /// Cross-shard arcs, ascending arc id.
-  std::vector<CutArc> cut_arcs;
   PartitionStats stats;
 };
 
@@ -136,30 +127,5 @@ Partition partition_vertices(const Digraph& graph, std::int32_t num_shards,
 /// flow_refine: false} reproduces it bit-for-bit.
 Partition partition_vertices(const Digraph& graph,
                              const PartitionOptions& options);
-
-/// A shard's slice of an instance, relabeled to dense local ids — the
-/// unit a genuinely distributed deployment would ship to a remote host
-/// (BinStream-serializable via put_instance).  Local vertices are the
-/// shard's owned plus ghost vertices in ascending global order; arcs
-/// are every arc incident to an owned vertex (ghost-ghost arcs are
-/// dropped — no owned planner ever consults them).  have/want are
-/// copied for all local vertices so ghost possession can be seeded.
-///
-/// The one-host runtime does NOT plan on sub-instances — it keeps
-/// global vertex ids and maps them onto shard-local possession rows
-/// (StepView::set_row_map), which is what makes bit-identity with the
-/// single-process simulator a per-vertex statement instead of a
-/// relabeling argument.
-struct SubInstance {
-  core::Instance instance;
-  /// Local vertex id -> global vertex id, ascending.
-  std::vector<VertexId> to_global;
-  /// Local arc id -> global arc id, ascending.
-  std::vector<ArcId> arc_to_global;
-};
-
-SubInstance extract_sub_instance(const core::Instance& instance,
-                                 const Partition& partition,
-                                 std::int32_t shard);
 
 }  // namespace ocd::shard

@@ -97,9 +97,10 @@ class ShardWorker {
   [[nodiscard]] std::int64_t step() const noexcept { return step_; }
   [[nodiscard]] sim::Termination termination() const;
 
-  /// Final per-shard results (schedule fragment, completion, upload
-  /// counts; shard 0 adds the global per-step series), BinStream-
-  /// encoded for run_sharded's merge.
+  /// Final per-shard results for run_sharded's merge: the termination
+  /// byte followed by a checkpoint of the finished worker (schedule
+  /// fragment, completion, upload counts; shard 0 adds the global
+  /// per-step series).
   [[nodiscard]] std::string finish_fragment();
 
   /// Serializes this worker's complete restartable state (see
@@ -119,6 +120,9 @@ class ShardWorker {
 
  private:
   void deliver(VertexId to, TokenSetView tokens);
+  /// This worker's state as a Checkpoint record, schedule left empty
+  /// (save_checkpoint copies it in, finish_fragment lends it).
+  [[nodiscard]] Checkpoint capture() const;
 
   const RunContext& ctx_;
   std::int32_t shard_;

@@ -2,9 +2,10 @@
 // shipping (the husky engine's BinStream idiom: one append-only byte
 // buffer, typed put/get pairs, no schema negotiation).
 //
-// The vertex-sharded runtime moves three kinds of payload through this
-// layer — sub-instances, possession snapshots, and per-step delivery
-// batches — so the encoding favors the shapes those produce:
+// The vertex-sharded runtime moves two kinds of payload through this
+// layer — per-step delivery batches and checkpoints (possession
+// snapshots plus run state; a shard's finish fragment is one too) — so
+// the encoding favors the shapes those produce:
 //   * varint (LEB128) for every count and id: delivery batches are
 //     dominated by small arc ids and short token lists;
 //   * TokenSets carry a one-byte encoding tag chosen per set — raw
@@ -27,7 +28,6 @@
 #include <string>
 #include <string_view>
 
-#include "ocd/core/instance.hpp"
 #include "ocd/core/schedule.hpp"
 #include "ocd/util/error.hpp"
 #include "ocd/util/token_matrix.hpp"
@@ -114,13 +114,7 @@ void get_token_set_into(BinStream& stream, const char* field,
 void put_token_matrix(BinStream& stream, const TokenMatrix& matrix);
 TokenMatrix get_token_matrix(BinStream& stream, const char* field);
 
-// ---- graph / instance / schedule -------------------------------------
-void put_digraph(BinStream& stream, const Digraph& graph);
-Digraph get_digraph(BinStream& stream, const char* field);
-
-void put_instance(BinStream& stream, const core::Instance& instance);
-core::Instance get_instance(BinStream& stream, const char* field);
-
+// ---- schedule --------------------------------------------------------
 void put_schedule(BinStream& stream, const core::Schedule& schedule);
 core::Schedule get_schedule(BinStream& stream, const char* field);
 

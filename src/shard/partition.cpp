@@ -449,8 +449,8 @@ Partition partition_vertices(const Digraph& graph,
     part.owned[static_cast<std::size_t>(part.shard_of[static_cast<std::size_t>(v)])]
         .push_back(v);
 
-  // Cut arcs (ascending arc id) and ghost flags: a cross arc makes each
-  // endpoint a ghost of the other endpoint's shard.
+  // Ghost flags and the cut count: a cross arc makes each endpoint a
+  // ghost of the other endpoint's shard.
   std::vector<std::vector<char>> ghost_flag(
       static_cast<std::size_t>(num_shards),
       std::vector<char>(static_cast<std::size_t>(n), 0));
@@ -459,7 +459,7 @@ Partition partition_vertices(const Digraph& graph,
     const std::int32_t sf = part.shard_of[static_cast<std::size_t>(arc.from)];
     const std::int32_t st = part.shard_of[static_cast<std::size_t>(arc.to)];
     if (sf == st) continue;
-    part.cut_arcs.push_back({a, sf, st});
+    ++part.stats.cut_arcs;
     ghost_flag[static_cast<std::size_t>(st)][static_cast<std::size_t>(
         arc.from)] = 1;
     ghost_flag[static_cast<std::size_t>(sf)][static_cast<std::size_t>(
@@ -474,7 +474,6 @@ Partition partition_vertices(const Digraph& graph,
 
   part.stats.num_shards = num_shards;
   part.stats.total_arcs = graph.num_arcs();
-  part.stats.cut_arcs = static_cast<std::int64_t>(part.cut_arcs.size());
   part.stats.min_owned = n == 0 ? 0 : *std::min_element(sizes.begin(),
                                                         sizes.end());
   part.stats.max_owned = n == 0 ? 0 : *std::max_element(sizes.begin(),
@@ -482,50 +481,6 @@ Partition partition_vertices(const Digraph& graph,
   for (const auto& g : part.ghosts)
     part.stats.total_ghosts += static_cast<std::int64_t>(g.size());
   return part;
-}
-
-SubInstance extract_sub_instance(const core::Instance& instance,
-                                 const Partition& partition,
-                                 std::int32_t shard) {
-  OCD_EXPECTS(shard >= 0 && shard < partition.num_shards);
-  const Digraph& graph = instance.graph();
-  const auto s = static_cast<std::size_t>(shard);
-
-  SubInstance sub;
-  // Local vertex set = owned ∪ ghosts, ascending (both inputs sorted).
-  sub.to_global.resize(partition.owned[s].size() + partition.ghosts[s].size());
-  std::merge(partition.owned[s].begin(), partition.owned[s].end(),
-             partition.ghosts[s].begin(), partition.ghosts[s].end(),
-             sub.to_global.begin());
-
-  std::vector<std::int32_t> to_local(
-      static_cast<std::size_t>(graph.num_vertices()), -1);
-  for (std::size_t i = 0; i < sub.to_global.size(); ++i)
-    to_local[static_cast<std::size_t>(sub.to_global[i])] =
-        static_cast<std::int32_t>(i);
-
-  Digraph local(static_cast<std::int32_t>(sub.to_global.size()));
-  for (ArcId a = 0; a < graph.num_arcs(); ++a) {
-    const Arc& arc = graph.arc(a);
-    const bool from_owned =
-        partition.shard_of[static_cast<std::size_t>(arc.from)] == shard;
-    const bool to_owned =
-        partition.shard_of[static_cast<std::size_t>(arc.to)] == shard;
-    if (!from_owned && !to_owned) continue;  // ghost-ghost: never consulted
-    local.add_arc(to_local[static_cast<std::size_t>(arc.from)],
-                  to_local[static_cast<std::size_t>(arc.to)], arc.capacity);
-    sub.arc_to_global.push_back(a);
-  }
-  local.finalize();
-
-  sub.instance = core::Instance(std::move(local), instance.num_tokens());
-  for (std::size_t i = 0; i < sub.to_global.size(); ++i) {
-    sub.instance.set_have(static_cast<VertexId>(i),
-                          instance.have(sub.to_global[i]));
-    sub.instance.set_want(static_cast<VertexId>(i),
-                          instance.want(sub.to_global[i]));
-  }
-  return sub;
 }
 
 }  // namespace ocd::shard

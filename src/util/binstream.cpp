@@ -279,100 +279,8 @@ TokenMatrix get_token_matrix(BinStream& stream, const char* field) {
 }
 
 // ---------------------------------------------------------------------
-// Digraph / Instance / Schedule
+// Schedule
 // ---------------------------------------------------------------------
-void put_digraph(BinStream& stream, const Digraph& graph) {
-  stream.put_varint(static_cast<std::uint64_t>(graph.num_vertices()));
-  stream.put_varint(static_cast<std::uint64_t>(graph.num_arcs()));
-  for (ArcId a = 0; a < graph.num_arcs(); ++a) {
-    const Arc& arc = graph.arc(a);
-    stream.put_varint(static_cast<std::uint64_t>(arc.from));
-    stream.put_varint(static_cast<std::uint64_t>(arc.to));
-    stream.put_varint_signed(arc.capacity);
-  }
-}
-
-Digraph get_digraph(BinStream& stream, const char* field) {
-  const std::uint64_t n = stream.get_varint(field);
-  const std::uint64_t num_arcs = stream.get_varint(field);
-  stream.require(n <= static_cast<std::uint64_t>(
-                          std::numeric_limits<std::int32_t>::max()),
-                 field, "vertex count exceeds the VertexId range");
-  // Every arc needs at least 3 bytes ahead of us.
-  stream.require(num_arcs <= stream.size() / 3 + 1, field,
-                 "arc count exceeds remaining bytes");
-  Digraph graph(static_cast<std::int32_t>(n));
-  for (std::uint64_t i = 0; i < num_arcs; ++i) {
-    const std::uint64_t from = stream.get_varint(field);
-    const std::uint64_t to = stream.get_varint(field);
-    const std::int64_t capacity = stream.get_varint_signed(field);
-    stream.require(from < n && to < n, field,
-                   "arc endpoint outside the vertex range");
-    stream.require(from != to, field, "self-loop arc");
-    stream.require(capacity >= 0 && capacity <= std::numeric_limits<
-                                                    std::int32_t>::max(),
-                   field, "arc capacity out of range");
-    stream.require(
-        !graph.has_arc(static_cast<VertexId>(from),
-                       static_cast<VertexId>(to)),
-        field, "duplicate arc");
-    graph.add_arc(static_cast<VertexId>(from), static_cast<VertexId>(to),
-                  static_cast<std::int32_t>(capacity));
-  }
-  graph.finalize();
-  return graph;
-}
-
-void put_instance(BinStream& stream, const core::Instance& instance) {
-  put_digraph(stream, instance.graph());
-  stream.put_varint(static_cast<std::uint64_t>(instance.num_tokens()));
-  for (VertexId v = 0; v < instance.num_vertices(); ++v)
-    put_token_set(stream, TokenSetView(instance.have(v)));
-  for (VertexId v = 0; v < instance.num_vertices(); ++v)
-    put_token_set(stream, TokenSetView(instance.want(v)));
-  stream.put_varint(instance.files().size());
-  for (const core::File& file : instance.files()) {
-    stream.put_varint(static_cast<std::uint64_t>(file.first));
-    stream.put_varint(static_cast<std::uint64_t>(file.size));
-  }
-}
-
-core::Instance get_instance(BinStream& stream, const char* field) {
-  Digraph graph = get_digraph(stream, field);
-  const std::uint64_t num_tokens = stream.get_varint(field);
-  stream.require(
-      num_tokens <= static_cast<std::uint64_t>(
-                        std::numeric_limits<std::int32_t>::max()),
-      field, "token universe exceeds the TokenId range");
-  const std::int32_t n = graph.num_vertices();
-  core::Instance instance(std::move(graph),
-                          static_cast<std::int32_t>(num_tokens));
-  for (VertexId v = 0; v < n; ++v) {
-    TokenSet have = get_token_set(stream, field);
-    stream.require(have.universe_size() == num_tokens, field,
-                   "have-set universe does not match the instance");
-    instance.set_have(v, std::move(have));
-  }
-  for (VertexId v = 0; v < n; ++v) {
-    TokenSet want = get_token_set(stream, field);
-    stream.require(want.universe_size() == num_tokens, field,
-                   "want-set universe does not match the instance");
-    instance.set_want(v, std::move(want));
-  }
-  const std::uint64_t num_files = stream.get_varint(field);
-  stream.require(num_files <= stream.size(), field,
-                 "file count exceeds remaining bytes");
-  for (std::uint64_t i = 0; i < num_files; ++i) {
-    const std::uint64_t first = stream.get_varint(field);
-    const std::uint64_t size = stream.get_varint(field);
-    stream.require(first + size <= num_tokens, field,
-                   "file range outside the token universe");
-    instance.add_file(static_cast<TokenId>(first),
-                      static_cast<std::int32_t>(size));
-  }
-  return instance;
-}
-
 void put_schedule(BinStream& stream, const core::Schedule& schedule) {
   stream.put_varint(schedule.steps().size());
   for (const core::Timestep& step : schedule.steps()) {

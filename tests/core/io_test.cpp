@@ -96,6 +96,18 @@ TEST(InstanceIo, MalformedInputsRejectedWithLineNumbers) {
                "unknown keyword");
   expect_error("ocd-instance v1\nvertices 2 tokens 1\narc 0 1 1\n",
                "missing 'end'");
+  // Record lines are consumed whole: a malformed token id or a trailing
+  // word is an error, never a silently truncated record.
+  expect_error("ocd-instance v1\nvertices 3 tokens 4\nwant 1 0 1x 2 3\nend\n",
+               "instance parse error at line 3");
+  expect_error("ocd-instance v1\nvertices 2 tokens 1\narc 0 1 5 junk\nend\n",
+               "instance parse error at line 3");
+  expect_error("ocd-instance v1\nvertices 2 tokens 1 extra\nend\n",
+               "instance parse error at line 2");
+  // first + size overflows int32; the range check must not.
+  expect_error(
+      "ocd-instance v1\nvertices 2 tokens 4\nfile 2147483000 1000\nend\n",
+      "instance parse error at line 3");
 }
 
 TEST(InstanceIo, FileRoundTrip) {

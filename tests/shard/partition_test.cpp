@@ -1,13 +1,12 @@
-// Partitioner contract: deterministic, covering, balanced, with a
-// consistent cut/ghost table — everything the barrier protocol and the
-// sub-instance extractor assume.
+// Partitioner contract: deterministic, covering, balanced, with a cut
+// count and ghost lists that match the arcs crossing shard_of —
+// everything the barrier protocol assumes.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdlib>
 #include <set>
 
-#include "ocd/core/scenario.hpp"
 #include "ocd/shard/partition.hpp"
 #include "ocd/topology/random_graph.hpp"
 #include "ocd/topology/transit_stub.hpp"
@@ -19,6 +18,32 @@ namespace {
 Digraph overlay(std::int32_t n, std::uint64_t seed) {
   Rng rng(seed);
   return topology::random_overlay(n, rng);
+}
+
+// Recounts the crossing arcs from shard_of alone and checks the cut
+// count and every shard's ghost list against them: a crossing arc makes
+// each endpoint a ghost of the other endpoint's shard.
+void expect_cut_and_ghosts_match_crossings(const Digraph& g,
+                                           const Partition& part) {
+  std::int64_t crossing = 0;
+  std::vector<std::set<VertexId>> expected(
+      static_cast<std::size_t>(part.num_shards));
+  for (ArcId a = 0; a < g.num_arcs(); ++a) {
+    const Arc& arc = g.arc(a);
+    const std::int32_t from = part.shard_of[static_cast<std::size_t>(arc.from)];
+    const std::int32_t to = part.shard_of[static_cast<std::size_t>(arc.to)];
+    if (from == to) continue;
+    ++crossing;
+    expected[static_cast<std::size_t>(to)].insert(arc.from);
+    expected[static_cast<std::size_t>(from)].insert(arc.to);
+  }
+  EXPECT_EQ(part.stats.cut_arcs, crossing);
+  for (std::int32_t s = 0; s < part.num_shards; ++s) {
+    const auto& want = expected[static_cast<std::size_t>(s)];
+    EXPECT_EQ(std::vector<VertexId>(want.begin(), want.end()),
+              part.ghosts[static_cast<std::size_t>(s)])
+        << "shard " << s;
+  }
 }
 
 TEST(ShardPartition, CoversEveryVertexExactlyOnce) {
@@ -59,28 +84,8 @@ TEST(ShardPartition, BalancesOwnershipWithinOneVertex) {
 TEST(ShardPartition, CutTableListsExactlyTheCrossingArcs) {
   const Digraph g = overlay(40, 5);
   const Partition part = partition_vertices(g, 4);
-  std::set<ArcId> cut;
-  for (const CutArc& c : part.cut_arcs) {
-    const Arc& arc = g.arc(c.arc);
-    EXPECT_EQ(c.from_shard, part.shard_of[static_cast<std::size_t>(arc.from)]);
-    EXPECT_EQ(c.to_shard, part.shard_of[static_cast<std::size_t>(arc.to)]);
-    EXPECT_NE(c.from_shard, c.to_shard);
-    cut.insert(c.arc);
-  }
-  // Ascending and duplicate-free.
-  EXPECT_EQ(cut.size(), part.cut_arcs.size());
-  for (std::size_t i = 1; i < part.cut_arcs.size(); ++i)
-    EXPECT_LT(part.cut_arcs[i - 1].arc, part.cut_arcs[i].arc);
-  // Exactness: every arc is cut iff its endpoints differ.
-  for (ArcId a = 0; a < g.num_arcs(); ++a) {
-    const Arc& arc = g.arc(a);
-    const bool crossing =
-        part.shard_of[static_cast<std::size_t>(arc.from)] !=
-        part.shard_of[static_cast<std::size_t>(arc.to)];
-    EXPECT_EQ(cut.count(a) == 1, crossing) << "arc " << a;
-  }
-  EXPECT_EQ(part.stats.cut_arcs,
-            static_cast<std::int64_t>(part.cut_arcs.size()));
+  expect_cut_and_ghosts_match_crossings(g, part);
+  EXPECT_GT(part.stats.cut_arcs, 0);
   EXPECT_EQ(part.stats.total_arcs, g.num_arcs());
   EXPECT_GE(part.stats.cut_fraction(), 0.0);
   EXPECT_LE(part.stats.cut_fraction(), 1.0);
@@ -94,25 +99,17 @@ TEST(ShardPartition, GhostsAreTheNonOwnedEndpointsOfIncidentArcs) {
     const auto& ghosts = part.ghosts[static_cast<std::size_t>(s)];
     EXPECT_TRUE(std::is_sorted(ghosts.begin(), ghosts.end()));
     total_ghosts += static_cast<std::int64_t>(ghosts.size());
-    std::set<VertexId> expected;
-    for (const CutArc& c : part.cut_arcs) {
-      const Arc& arc = g.arc(c.arc);
-      if (c.to_shard == s) expected.insert(arc.from);
-      if (c.from_shard == s) expected.insert(arc.to);
-    }
-    EXPECT_EQ(std::vector<VertexId>(expected.begin(), expected.end()),
-              ghosts)
-        << "shard " << s;
     for (VertexId v : ghosts)
       EXPECT_NE(part.shard_of[static_cast<std::size_t>(v)], s);
   }
   EXPECT_EQ(part.stats.total_ghosts, total_ghosts);
+  expect_cut_and_ghosts_match_crossings(g, part);
 }
 
 TEST(ShardPartition, SingleShardHasNoCutAndNoGhosts) {
   const Digraph g = overlay(20, 1);
   const Partition part = partition_vertices(g, 1);
-  EXPECT_TRUE(part.cut_arcs.empty());
+  EXPECT_EQ(part.stats.cut_arcs, 0);
   EXPECT_TRUE(part.ghosts[0].empty());
   EXPECT_EQ(part.owned[0].size(), static_cast<std::size_t>(20));
   EXPECT_EQ(part.stats.cut_fraction(), 0.0);
@@ -125,9 +122,7 @@ TEST(ShardPartition, DeterministicAcrossCalls) {
   EXPECT_EQ(a.shard_of, b.shard_of);
   EXPECT_EQ(a.owned, b.owned);
   EXPECT_EQ(a.ghosts, b.ghosts);
-  ASSERT_EQ(a.cut_arcs.size(), b.cut_arcs.size());
-  for (std::size_t i = 0; i < a.cut_arcs.size(); ++i)
-    EXPECT_EQ(a.cut_arcs[i].arc, b.cut_arcs[i].arc);
+  EXPECT_EQ(a.stats.cut_arcs, b.stats.cut_arcs);
 }
 
 TEST(ShardPartition, RefinementKeepsTheCutBelowRandomAssignment) {
@@ -180,56 +175,6 @@ TEST(ShardPartition, MultiSweepConvergesAndStaysDeterministic) {
   // The default stays bit-compatible with the historical single sweep.
   EXPECT_EQ(partition_vertices(g, 4).shard_of,
             partition_vertices(g, 4, 1).shard_of);
-}
-
-TEST(ShardPartition, SubInstanceExtractsOwnedPlusGhostSlice) {
-  Rng rng(5);
-  Digraph g = topology::random_overlay(30, rng);
-  core::Instance inst =
-      core::single_source_all_receivers(std::move(g), 10, 0);
-  const Partition part = partition_vertices(inst.graph(), 3);
-  for (std::int32_t s = 0; s < 3; ++s) {
-    const SubInstance sub = extract_sub_instance(inst, part, s);
-    const auto& owned = part.owned[static_cast<std::size_t>(s)];
-    const auto& ghosts = part.ghosts[static_cast<std::size_t>(s)];
-    ASSERT_EQ(sub.to_global.size(), owned.size() + ghosts.size());
-    EXPECT_TRUE(
-        std::is_sorted(sub.to_global.begin(), sub.to_global.end()));
-    EXPECT_EQ(sub.instance.num_vertices(),
-              static_cast<std::int32_t>(sub.to_global.size()));
-    EXPECT_EQ(sub.instance.num_tokens(), inst.num_tokens());
-    // have/want copied for every local vertex.
-    for (std::size_t i = 0; i < sub.to_global.size(); ++i) {
-      EXPECT_EQ(sub.instance.have(static_cast<VertexId>(i)),
-                inst.have(sub.to_global[i]));
-      EXPECT_EQ(sub.instance.want(static_cast<VertexId>(i)),
-                inst.want(sub.to_global[i]));
-    }
-    // Arcs: exactly those incident to an owned vertex, in global arc
-    // order, endpoints relabeled consistently.
-    ASSERT_EQ(sub.arc_to_global.size(),
-              static_cast<std::size_t>(sub.instance.graph().num_arcs()));
-    EXPECT_TRUE(std::is_sorted(sub.arc_to_global.begin(),
-                               sub.arc_to_global.end()));
-    std::size_t expected_arcs = 0;
-    for (ArcId a = 0; a < inst.graph().num_arcs(); ++a) {
-      const Arc& arc = inst.graph().arc(a);
-      const bool incident =
-          part.shard_of[static_cast<std::size_t>(arc.from)] == s ||
-          part.shard_of[static_cast<std::size_t>(arc.to)] == s;
-      if (incident) ++expected_arcs;
-    }
-    EXPECT_EQ(sub.arc_to_global.size(), expected_arcs);
-    for (ArcId local = 0;
-         local < sub.instance.graph().num_arcs(); ++local) {
-      const Arc& la = sub.instance.graph().arc(local);
-      const Arc& ga = inst.graph().arc(
-          sub.arc_to_global[static_cast<std::size_t>(local)]);
-      EXPECT_EQ(sub.to_global[static_cast<std::size_t>(la.from)], ga.from);
-      EXPECT_EQ(sub.to_global[static_cast<std::size_t>(la.to)], ga.to);
-      EXPECT_EQ(la.capacity, ga.capacity);
-    }
-  }
 }
 
 // --- Balance band (ε) and flow-based refinement -----------------------
@@ -373,32 +318,7 @@ TEST(ShardPartitionFlow, StrictlyBeatsGreedyOnPinnedConfigurations) {
 TEST(ShardPartitionFlow, CutAndGhostTablesStayConsistent) {
   const Digraph g = transit_stub_overlay(120, 5);
   const Partition part = partition_vertices(g, flow_options(4, 10, true));
-  std::set<ArcId> cut;
-  for (const CutArc& c : part.cut_arcs) {
-    const Arc& arc = g.arc(c.arc);
-    EXPECT_EQ(c.from_shard, part.shard_of[static_cast<std::size_t>(arc.from)]);
-    EXPECT_EQ(c.to_shard, part.shard_of[static_cast<std::size_t>(arc.to)]);
-    EXPECT_NE(c.from_shard, c.to_shard);
-    cut.insert(c.arc);
-  }
-  EXPECT_EQ(cut.size(), part.cut_arcs.size());
-  for (ArcId a = 0; a < g.num_arcs(); ++a) {
-    const Arc& arc = g.arc(a);
-    const bool crossing = part.shard_of[static_cast<std::size_t>(arc.from)] !=
-                          part.shard_of[static_cast<std::size_t>(arc.to)];
-    EXPECT_EQ(cut.count(a) == 1, crossing) << "arc " << a;
-  }
-  for (std::int32_t s = 0; s < 4; ++s) {
-    std::set<VertexId> expected;
-    for (const CutArc& c : part.cut_arcs) {
-      const Arc& arc = g.arc(c.arc);
-      if (c.to_shard == s) expected.insert(arc.from);
-      if (c.from_shard == s) expected.insert(arc.to);
-    }
-    EXPECT_EQ(std::vector<VertexId>(expected.begin(), expected.end()),
-              part.ghosts[static_cast<std::size_t>(s)])
-        << "shard " << s;
-  }
+  expect_cut_and_ghosts_match_crossings(g, part);
 }
 
 TEST(ShardPartitionFlow, DeterministicAcrossCalls) {
